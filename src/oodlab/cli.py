@@ -41,6 +41,7 @@ from .metrics import (
 )
 from .model import (
     TrainingDiverged,
+    extract_features,
     forward,
     load_checkpoint,
     save_checkpoint,
@@ -200,8 +201,8 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
 
 def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     train_cfg = cfg.train.build(cfg.seed)
-    loss_cfg = cfg.loss.build()
-    feature_cfg = cfg.features.build()
+    loss_cfg = cfgmod.validated(cfg.loss, "loss")
+    feature_cfg = cfgmod.validated(cfg.features, "features")
     space = LabelSpace(cfg.num_classes)
     in_dir = Path(cfg.resolved_train_dir())
     if not in_dir.is_dir():
@@ -247,7 +248,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
 
 def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     space = LabelSpace(cfg.num_classes)
-    feature_cfg = cfg.features.build()
+    feature_cfg = cfgmod.validated(cfg.features, "features")
     grid = cfg.metrics.build_grid()
     ckpt_path = Path(cfg.resolved_checkpoint())
     if not ckpt_path.exists():
@@ -262,8 +263,6 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / f"{name}.csv" for name in ("summary", "curves", "histogram")}
     _check_collisions(list(paths.values()), force)
-
-    from .model import extract_features  # local import keeps module load light
 
     def process(pair):
         scene = read_scene(*pair)

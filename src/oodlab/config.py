@@ -1,9 +1,13 @@
 """Run configuration (strict JSON with full defaults) and run manifests.
 
 The config file is a JSON object mirroring RunConfig's nested sections;
-every field has a default and unknown keys are rejected by name. Angles in
-the config are degrees (converted here, at the boundary); angular windows
-for the merge follow SynthesisConfig's unit choice (radians by default).
+every field has a default, unknown keys are rejected by name, and a value
+must have the JSON type of its field's default. The ``features`` and
+``loss`` sections are the library's FeatureConfig and LossConfig, checked
+by their own constructors when a command uses them (``validated``). Angles
+in the config are degrees (converted here, at the boundary); angular
+windows for the merge follow SynthesisConfig's unit choice (radians by
+default).
 
 Every command writes a RunManifest JSON next to its outputs: the resolved
 config snapshot, the seed, the artifact version, sha256 digests of the
@@ -22,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import LossConfig
-from .model import FeatureConfig, TrainConfig
 from .io import PrimitiveObstacle, ScanConfig
+from .losses import LossConfig
+from .metrics import default_grid
+from .model import FeatureConfig, TrainConfig
 from .synthesis import SynthesisConfig
 
 ARTIFACT_VERSION = "0.1.0"
@@ -128,23 +133,6 @@ class SynthSection:
 
 
 @dataclass
-class FeatureSection:
-    features: tuple[str, ...] = ("x", "y", "z", "r", "lat", "lon", "density")
-    density_radius: float = 1.0
-    normalizers: dict = field(default_factory=dict)
-
-    def build(self) -> FeatureConfig:
-        try:
-            return FeatureConfig(
-                features=tuple(self.features),
-                density_radius=self.density_radius,
-                normalizers=dict(self.normalizers),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"features: {exc}") from exc
-
-
-@dataclass
 class TrainSection:
     learning_rate: float = 0.05
     epochs: int = 10
@@ -167,33 +155,13 @@ class TrainSection:
 
 
 @dataclass
-class LossSection:
-    # null: derived from num_classes (LossConfig.margins)
-    margin_in: float | None = None
-    margin_out: float | None = None
-    margin_resized: float | None = None
-    margin_synth: float | None = None
-    weight_abstain: float = 1.0
-    weight_penalty: float = 1.0
-    weight_dynamic: float = 1.0
-    weight_cce: float = 1.0
-    clamp_beta: bool = False
-
-    def build(self) -> LossConfig:
-        try:
-            return LossConfig(**dataclasses.asdict(self))
-        except ValueError as exc:
-            raise ConfigError(f"loss: {exc}") from exc
-
-
-@dataclass
 class MetricsSection:
     grid_size: int = 100
 
     def build_grid(self) -> np.ndarray:
         if self.grid_size < 1:
             raise ConfigError("metrics.grid_size: must be >= 1")
-        return np.arange(1, self.grid_size + 1) / self.grid_size
+        return default_grid(self.grid_size)
 
 
 @dataclass
@@ -221,9 +189,9 @@ class RunConfig:
     checkpoint: str = ""     # empty -> out_dir/model.ckpt
     scan: ScanSection = field(default_factory=ScanSection)
     synthesis: SynthSection = field(default_factory=SynthSection)
-    features: FeatureSection = field(default_factory=FeatureSection)
+    features: FeatureConfig = field(default_factory=FeatureConfig)
     train: TrainSection = field(default_factory=TrainSection)
-    loss: LossSection = field(default_factory=LossSection)
+    loss: LossConfig = field(default_factory=LossConfig)
     metrics: MetricsSection = field(default_factory=MetricsSection)
     gradcheck: GradcheckSection = field(default_factory=GradcheckSection)
 
@@ -237,6 +205,37 @@ class RunConfig:
         return self.checkpoint or str(Path(self.out_dir) / "model.ckpt")
 
 
+def validated(section, name: str):
+    """A copy of the library config ``section`` made by its constructor,
+    whose checks ``_apply`` bypasses; their ValueError becomes a
+    ConfigError naming the section ``name``."""
+    try:
+        return dataclasses.replace(section)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", tuple: "an array", dict: "an object"}
+
+
+def _typed(value, default, key: str):
+    """``value`` if it has the type of ``default``. An integer is taken
+    (as a float) where a number is expected, and an array becomes a tuple
+    whose elements are checked against the default's first one; a boolean
+    is not a number."""
+    kind = type(default)
+    if kind is float and type(value) is int:
+        return float(value)
+    if kind is tuple and type(value) is list:
+        if not default:
+            return tuple(value)
+        return tuple(_typed(v, default[0], f"{key}[{i}]") for i, v in enumerate(value))
+    if type(value) is not kind:
+        raise ConfigError(f"{key}: expected {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def _apply(obj, data: dict, prefix: str) -> None:
     fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, value in data.items():
@@ -248,9 +247,10 @@ def _apply(obj, data: dict, prefix: str) -> None:
                 raise ConfigError(f"{prefix}{key}: expected an object")
             _apply(current, value, prefix=f"{prefix}{key}.")
         else:
-            if isinstance(current, tuple) and isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-            setattr(obj, key, value)
+            f = fields[key]
+            default = (f.default if f.default_factory is dataclasses.MISSING
+                       else f.default_factory())
+            setattr(obj, key, _typed(value, default, prefix + key))
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -17,10 +17,16 @@ abstaining is, and the reward never exceeds 1, the top of the gambler's
 range (the bare 1/alpha^2 grows without bound as alpha -> 0).
 The penalty losses push alpha below m_in for inliers and above the outlier
 margins for (resized / asset-synthesized) outliers via hinges (Liu et al.,
-Energy-based OOD Detection, 2020). Gradients are exact analytic
-derivatives with respect to the inlier logits, the outlier logit and, for
-the dynamic penalty, the three margin weights beta; they flow through both
-the softmax and alpha. Hinge and payoff subgradients at a kink are 0.
+Energy-based OOD Detection, 2020), whose margins follow the class count
+(``margins``). Gradients are exact analytic derivatives with respect to
+the inlier logits, the outlier logit and, for the dynamic penalty, the
+three margin weights beta; they flow through both the softmax and alpha.
+Hinge and payoff subgradients at a kink are 0.
+
+``total_loss`` is the one home of the trainer's loss modes (``LOSS_MODES``):
+the abstain term, weighted by ``LossConfig.weight_abstain``, plus the
+static or the dynamic penalty at weight 1, or the calibration-CE baseline
+(``cce_loss``) with its calibration term at weight 1 or 0.
 
 Batching over scenes is the trainer's job (mean of per-scene means), so the
 values here are plain means over the scene's points.
@@ -149,55 +155,53 @@ REFERENCE_MARGINS = (-12.0, -6.0, -6.0, -7.0)
 BETA_PRIOR = 1.0
 
 
-@dataclass
-class LossConfig:
-    """Margins and loss weights.
+# the trainer's loss modes: abstain plus the static or the dynamic penalty,
+# and cross entropy with or without the calibration term
+LOSS_MODES = ("abstain+static", "abstain+dynamic", "ce+cce", "ce")
 
-    The static margins (m_in, m_out) and the dynamic ones (m_rout for
-    resized outliers, m_sout for asset outliers) left unset are derived
-    from the class count c by ``margins``. All lambda weights default to 1
-    (the source recipe leaves them unstated).
 
-    When abstention pays: with s the inlier softmax and the payoff
+def margins(num_classes: int) -> tuple[float, float, float, float]:
+    """(m_in, m_out, m_rout, m_sout) for c = ``num_classes``: the static
+    margins (m_in, m_out) and the dynamic ones for resized (m_rout) and
+    asset (m_sout) outliers.
+
+    Each is the reference margin scaled by sqrt(c / (12 * 7)), which puts c
+    at the geometric mean of m_in^2 and m_sout^2: the squares keep the
+    reference's ratios and straddle c by the same factor 12/7 on both
+    sides, for every c.
+
+    Why they must straddle c: with s the inlier softmax and the payoff
     o = max(1, alpha^2), descent raises the outlier logit on an inlier of
     class y only where s_y < 1/o, and on an outlier (which pays
     -sum_j log(p^y_j + p^o / o)) where sum_j 1/s_j > c * o. Since
     sum_j 1/s_j >= c^2, abstaining pays on every outlier with alpha^2 <= c
     and on an inlier only where it is misclassified. The margins therefore
-    work as intended only if their squares straddle c: m_in^2 > c for the
-    inliers, every outlier margin squared below c. The reference margins
-    -12 / -6 / -6 / -7 suit c between 49 and 144; at c = 3 every outlier
-    margin's payoff is 12 to 16 times c, abstaining never pays on a flat s,
-    and the outlier head stays dead.
+    work as intended only if m_in^2 > c and every outlier margin squared
+    is below c. The reference margins -12 / -6 / -6 / -7 suit c between
+    49 and 144; at c = 3 every outlier margin's payoff is 12 to 16 times
+    c, abstaining never pays on a flat s, and the outlier head stays dead.
+    """
+    scale = math.sqrt(num_classes / (REFERENCE_MARGINS[0] * REFERENCE_MARGINS[3]))
+    return tuple(scale * m for m in REFERENCE_MARGINS)
+
+
+@dataclass
+class LossConfig:
+    """The two loss settings whose callers need different values.
+
+    ``weight_abstain`` scales the abstain term against the penalty, whose
+    weight is 1, as are the dynamic penalty's and the calibration term's
+    (the source recipe leaves them unstated). ``clamp_beta`` keeps the
+    margin weights beta at or above 0 during training. The margins follow
+    the class count (``margins``).
     """
 
-    margin_in: float | None = None
-    margin_out: float | None = None
-    margin_resized: float | None = None
-    margin_synth: float | None = None
     weight_abstain: float = 1.0
-    weight_penalty: float = 1.0
-    weight_dynamic: float = 1.0
-    weight_cce: float = 1.0
     clamp_beta: bool = False
 
     def __post_init__(self):
-        for name in ("weight_abstain", "weight_penalty", "weight_dynamic", "weight_cce"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def margins(self, num_classes: int) -> tuple[float, float, float, float]:
-        """(m_in, m_out, m_rout, m_sout) for c = ``num_classes``.
-
-        An unset margin is the reference one scaled by sqrt(c / (12 * 7)),
-        which puts c at the geometric mean of m_in^2 and m_sout^2: the
-        squares keep the reference's ratios and straddle c by the same
-        factor 12/7 on both sides, for every c.
-        """
-        scale = math.sqrt(num_classes / (REFERENCE_MARGINS[0] * REFERENCE_MARGINS[3]))
-        given = (self.margin_in, self.margin_out, self.margin_resized, self.margin_synth)
-        return tuple(scale * ref if m is None else float(m)
-                     for m, ref in zip(given, REFERENCE_MARGINS))
+        if not self.weight_abstain >= 0:
+            raise ValueError("weight_abstain must be >= 0")
 
 
 @dataclass
@@ -295,7 +299,7 @@ def _result(values, grad, c, grad_beta=None) -> LossResult:
     return LossResult(float(values.mean()), grad[:, :c], grad[:, c], grad_beta)
 
 
-def abstain_loss(head: HeadOutput, labels, space: LabelSpace, cfg: LossConfig) -> LossResult:
+def abstain_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
     """Point-wise abstain loss.
 
     Inlier points pay -log(p^y_true + p^o / o); outlier points (both
@@ -328,38 +332,36 @@ def _hinge(st: HeadStats, labels, space: LabelSpace, thresholds):
     return values, grad, counts, np.bincount(types, minlength=3)
 
 
-def _static_penalty(st, labels, space, cfg):
-    m_in, m_out, _, _ = cfg.margins(space.num_classes)
+def _static_penalty(st, labels, space):
+    m_in, m_out, _, _ = margins(space.num_classes)
     return _hinge(st, labels, space, (m_in, m_out, m_out))[:2]
 
 
-def penalty_loss(head: HeadOutput, labels, space: LabelSpace, cfg: LossConfig) -> LossResult:
+def penalty_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
     """Static point-wise penalty: hinge alpha below m_in for inliers,
     above m_out for outliers (both outlier labels)."""
     labels = _check_labels(labels, space, head.num_points)
-    values, grad_y = _static_penalty(head_stats(head), labels, space, cfg)
+    values, grad_y = _static_penalty(head_stats(head), labels, space)
     n = head.num_points
     return LossResult(float(values.mean()), grad_y / n, np.zeros(n))
 
 
-def _dynamic_penalty(st, labels, space, cfg, beta):
-    m_in, _, m_rout, m_sout = cfg.margins(space.num_classes)
-    margins = np.array([m_in, m_rout, m_sout])
-    values, grad_y, active, counts = _hinge(st, labels, space, beta * margins)
+def _dynamic_penalty(st, labels, space, beta):
+    m_in, _, m_rout, m_sout = margins(space.num_classes)
+    m = np.array([m_in, m_rout, m_sout])
+    values, grad_y, active, counts = _hinge(st, labels, space, beta * m)
     # the hinge's beta gradient: d(t_in - alpha)/d(beta_in) = m_in for
     # inliers, d(alpha - t_k)/d(beta_k) = -m_k for outliers
     sign = np.array([-1.0, 1.0, 1.0])
-    grad_beta = sign * margins * active
+    grad_beta = sign * m * active
     # quadratic prior (lambda / 2) sum_k n_k |m_k| (beta_k - 1)^2
-    weight = BETA_PRIOR * counts * np.abs(margins)
+    weight = BETA_PRIOR * counts * np.abs(m)
     prior = 0.5 * float(np.sum(weight * (beta - 1.0) ** 2))
     grad_beta = grad_beta + weight * (beta - 1.0)
     return values, grad_y, prior, grad_beta
 
 
-def dynamic_penalty_loss(
-    head: HeadOutput, labels, space: LabelSpace, cfg: LossConfig, beta
-) -> LossResult:
+def dynamic_penalty_loss(head: HeadOutput, labels, space: LabelSpace, beta) -> LossResult:
     """Three-way penalty with learnable margin weights beta, plus a
     quadratic prior that holds beta near 1.
 
@@ -377,7 +379,7 @@ def dynamic_penalty_loss(
     n = head.num_points
     labels = _check_labels(labels, space, n)
     values, grad_y, prior, grad_beta = _dynamic_penalty(
-        head_stats(head), labels, space, cfg, _check_beta(beta))
+        head_stats(head), labels, space, _check_beta(beta))
     return LossResult(float(values.mean()) + prior / n, grad_y / n, np.zeros(n),
                       grad_beta / n)
 
@@ -387,35 +389,44 @@ def total_loss(
     labels,
     space: LabelSpace,
     cfg: LossConfig,
-    mode: str = "static",
+    mode: str = "abstain+static",
     beta=None,
 ) -> LossResult:
-    """weight_abstain * abstain + the selected penalty variant, from one
-    ``head_stats`` pass."""
+    """The objective of training mode ``mode`` (one of ``LOSS_MODES``).
+
+    "abstain+static" and "abstain+dynamic" give weight_abstain * abstain
+    plus the static or the dynamic penalty, from one ``head_stats`` pass;
+    the dynamic one needs ``beta``. "ce+cce" and "ce" give ``cce_loss``
+    with calibration weight 1 and 0.
+    """
+    if mode not in LOSS_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "ce+cce":
+        return cce_loss(head, labels, space, 1.0)
+    if mode == "ce":
+        return cce_loss(head, labels, space, 0.0)
     n, c = head.num_points, head.num_classes
     labels = _check_labels(labels, space, n)
-    if mode not in ("static", "dynamic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "dynamic":
+    dynamic = mode == "abstain+dynamic"
+    if dynamic:
         if beta is None:
-            raise ValueError("dynamic mode requires beta")
+            raise ValueError("abstain+dynamic mode requires beta")
         beta = _check_beta(beta)
     st = head_stats(head)
     values, grad = _abstain(st, labels, labels <= space.num_classes)
     w_ab = cfg.weight_abstain
     values *= w_ab
     grad *= w_ab
-    if mode == "static":
-        pen, pen_grad = _static_penalty(st, labels, space, cfg)
-        w_pen, prior, grad_beta = cfg.weight_penalty, 0.0, None
+    if dynamic:
+        pen, pen_grad, prior, grad_beta = _dynamic_penalty(st, labels, space, beta)
+        grad_beta = grad_beta / n
     else:
-        pen, pen_grad, prior, grad_beta = _dynamic_penalty(st, labels, space, cfg, beta)
-        w_pen = cfg.weight_dynamic
-        grad_beta = w_pen * grad_beta / n
-    values += w_pen * pen
-    grad[:, :c] += w_pen * pen_grad
+        pen, pen_grad = _static_penalty(st, labels, space)
+        prior, grad_beta = 0.0, None
+    values += pen
+    grad[:, :c] += pen_grad
     res = _result(values, grad, c, grad_beta)
-    res.value += w_pen * prior / n
+    res.value += prior / n
     return res
 
 
@@ -573,54 +584,31 @@ def run_gradient_checks(
     """
     space = LabelSpace(num_classes)
     cfg = LossConfig()
+    # {name: (loss of (head, labels, beta), whether it takes beta)}; the
+    # losses are looked up when called, so a test can monkeypatch one
+    table = {
+        "cce": (lambda h, lab, b: cce_loss(h, lab, space), False),
+        "abstain": (lambda h, lab, b: abstain_loss(h, lab, space), False),
+        "penalty": (lambda h, lab, b: penalty_loss(h, lab, space), False),
+        "dynamic_penalty": (lambda h, lab, b: dynamic_penalty_loss(h, lab, space, b), True),
+        "total_static": (
+            lambda h, lab, b: total_loss(h, lab, space, cfg, "abstain+static"), False),
+        "total_dynamic": (
+            lambda h, lab, b: total_loss(h, lab, space, cfg, "abstain+dynamic", b), True),
+    }
 
-    def table():
-        # resolved at call time so a test can monkeypatch a loss
-        return {
-            "cce": (
-                lambda h, lab, b: cce_loss(h, lab, space, cfg.weight_cce),
-                lambda h, lab, b: cce_loss(h, lab, space, cfg.weight_cce).value,
-                False,
-            ),
-            "abstain": (
-                lambda h, lab, b: abstain_loss(h, lab, space, cfg),
-                lambda h, lab, b: abstain_loss(h, lab, space, cfg).value,
-                False,
-            ),
-            "penalty": (
-                lambda h, lab, b: penalty_loss(h, lab, space, cfg),
-                lambda h, lab, b: penalty_loss(h, lab, space, cfg).value,
-                False,
-            ),
-            "dynamic_penalty": (
-                lambda h, lab, b: dynamic_penalty_loss(h, lab, space, cfg, b),
-                lambda h, lab, b: dynamic_penalty_loss(h, lab, space, cfg, b).value,
-                True,
-            ),
-            "total_static": (
-                lambda h, lab, b: total_loss(h, lab, space, cfg, "static"),
-                lambda h, lab, b: total_loss(h, lab, space, cfg, "static").value,
-                False,
-            ),
-            "total_dynamic": (
-                lambda h, lab, b: total_loss(h, lab, space, cfg, "dynamic", b),
-                lambda h, lab, b: total_loss(h, lab, space, cfg, "dynamic", b).value,
-                True,
-            ),
-        }
-
-    results = {name: (0.0, -1) for name in table()}
+    results = {name: (0.0, -1) for name in table}
     for k in range(num_instances):
         stream = RngStream(seed, k)
         head, labels, beta = random_instance(
             space, stream, max_points=max_points, sigma=sigma
         )
         probe_rng = np.random.default_rng([seed, k])
-        for name, (loss_fn, value_fn, uses_beta) in table().items():
+        for name, (loss_fn, uses_beta) in table.items():
             b = beta if uses_beta else None
             analytic = loss_fn(head, labels, b)
             fd = finite_difference_grads(
-                lambda hh, bb: value_fn(hh, labels, bb), head, beta=b, step=step,
+                lambda hh, bb: loss_fn(hh, labels, bb).value, head, beta=b, step=step,
                 probes=probes, rng=probe_rng,
             )
             err = max_relative_error(analytic, fd)

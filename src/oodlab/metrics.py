@@ -147,15 +147,6 @@ def threshold_for_coverage(scores, target: float) -> float:
 
 
 @dataclass
-class CurveSeries:
-    """Ordered (coverage, value, threshold) triples; NaN value = gap."""
-
-    coverage: np.ndarray
-    value: np.ndarray
-    threshold: np.ndarray
-
-
-@dataclass
 class CoverageCurves:
     """The four curve families of one sweep, sharing coverage/threshold."""
 
@@ -164,15 +155,6 @@ class CoverageCurves:
     risk: np.ndarray
     aupr: np.ndarray
     auroc: np.ndarray
-
-    def series(self, name: str) -> CurveSeries:
-        if name == "threshold":
-            value = self.threshold
-        elif name in ("risk", "aupr", "auroc"):
-            value = getattr(self, name)
-        else:
-            raise ValueError(f"unknown curve family {name!r}")
-        return CurveSeries(self.coverage, value, self.threshold)
 
 
 def default_grid(size: int = 100) -> np.ndarray:

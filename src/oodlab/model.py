@@ -29,21 +29,12 @@ from scipy.spatial import cKDTree
 
 from .core import LabelSpace, RngStream, Scene, as_generator, to_spherical
 from .io import FormatError
-from .losses import (
-    HeadOutput,
-    LossConfig,
-    Probs,
-    cce_loss,
-    softmax_head,
-    total_loss,
-)
+from .losses import LOSS_MODES, HeadOutput, LossConfig, Probs, total_loss
 
 FEATURE_NAMES = ("x", "y", "z", "r", "lat", "lon", "density")
 
 CHECKPOINT_MAGIC = b"OODC"
 CHECKPOINT_VERSION = 1
-
-LOSS_MODES = ("abstain+static", "abstain+dynamic", "ce+cce", "ce")
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,8 +54,8 @@ class FeatureConfig:
     """Which per-point features to emit, in order, plus their divisors.
 
     ``density`` counts neighbors within ``density_radius`` (self excluded).
-    ``normalizers`` maps feature name -> divisor; unlisted features pass
-    through unscaled.
+    ``normalizers`` maps feature name -> nonzero divisor; unlisted features
+    pass through unscaled.
     """
 
     features: tuple[str, ...] = FEATURE_NAMES
@@ -80,6 +71,10 @@ class FeatureConfig:
             raise ValueError(f"unknown features: {sorted(unknown)}")
         if "density" in self.features and not self.density_radius > 0:
             raise ValueError("density_radius must be > 0")
+        for name, divisor in self.normalizers.items():
+            number = isinstance(divisor, (int, float)) and not isinstance(divisor, bool)
+            if not number or divisor == 0:
+                raise ValueError(f"normalizers[{name!r}] must be a nonzero number")
 
 
 def extract_features(scene: Scene, cfg: FeatureConfig) -> np.ndarray:
@@ -216,9 +211,10 @@ class TrainConfig:
     beta only. The dynamic penalty's prior gives beta a finite optimum
     (``losses.dynamic_penalty_loss``), so the scale sets only how fast beta
     tracks it. The prior's curvature in beta_k is at most
-    ``weight_dynamic * losses.BETA_PRIOR * |m_k|``, so steps stay stable
-    while ``learning_rate * beta_lr_scale * weight_dynamic * BETA_PRIOR *
-    |m_in|`` is below 2; the default 1.0 gives beta the weights' step.
+    ``losses.BETA_PRIOR * |m_k|``, so steps stay stable while
+    ``learning_rate * beta_lr_scale * BETA_PRIOR * |m_in|`` is below 2
+    (m_in from ``losses.margins``); the default 1.0 gives beta the
+    weights' step.
     """
 
     learning_rate: float = 0.05
@@ -231,9 +227,9 @@ class TrainConfig:
     # Initial bias of the outlier logit. p^o = sigmoid(ohat + alpha) and the
     # abstain term's gradient on ohat shrinks with p^o, so the head learns
     # only if p^o on outliers stays well above 0 once the margins have
-    # placed alpha. With margins whose squares straddle c (LossConfig's
-    # defaults) alpha stays within a few units of 0 and a bias of -4 or 0
-    # both learn; at the reference margins -12 / -6 / -6 / -7 and c = 3
+    # placed alpha. With margins whose squares straddle c (losses.margins)
+    # alpha stays within a few units of 0 and a bias of -4 or 0 both learn;
+    # at the reference margins -12 / -6 / -6 / -7 and c = 3
     # (alpha -6 to -15) p^o falls below 1e-4 and neither does.
     outlier_bias_init: float = 0.0
 
@@ -255,16 +251,6 @@ class TrainConfig:
 class TrainLog:
     epoch_losses: list[float]
     beta_history: list[np.ndarray]
-
-
-def _scene_loss(head, labels, space, loss_cfg, mode, beta):
-    if mode == "abstain+static":
-        return total_loss(head, labels, space, loss_cfg, "static")
-    if mode == "abstain+dynamic":
-        return total_loss(head, labels, space, loss_cfg, "dynamic", beta)
-    if mode == "ce+cce":
-        return cce_loss(head, labels, space, loss_cfg.weight_cce)
-    return cce_loss(head, labels, space, 0.0)
 
 
 def train(
@@ -322,7 +308,7 @@ def train(
                     head = HeadOutput(logits[:, :-1], logits[:, -1])
                 except ValueError:
                     raise TrainingDiverged(epoch, last_good) from None
-                res = _scene_loss(head, labels[i], space, loss_cfg, mode, beta)
+                res = total_loss(head, labels[i], space, loss_cfg, mode, beta)
                 gw, gb = backward(params, acts, res.grad_logits(), delta_bufs)
                 for k in range(len(acc_w)):
                     acc_w[k] += gw[k]

@@ -1,7 +1,7 @@
 """Outlier injection.
 
 The asset-based pipeline runs, in order: rotate the asset upright, move it
-radially and rotate it around the scene center, gate on xy overlap, resize,
+radially and rotate it around the sensor, gate on xy overlap, resize,
 snap to the ground, then merge it into the sweep by replacing scene-point
 radii inside a small angular window. Radius replacement keeps every scene
 point's (lon, lat) untouched, so the sensor's sampling pattern is preserved
@@ -56,7 +56,6 @@ class SynthesisConfig:
     window_lat: float = 0.2
     ground_search_radius: float = 5.0
     occlusion_capped: bool = False
-    scene_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if not self.overlap_delta > 0:
@@ -108,24 +107,22 @@ def rotate_upright(asset: ObjectAsset) -> ObjectAsset:
 
 
 def place_object(points: np.ndarray, scene: Scene, cfg: SynthesisConfig, rng) -> np.ndarray:
-    """Translate along +x by d ~ U(r_min, frac * r_max) from the scene center,
-    then rotate about the center in the xy-plane by a uniform angle.
+    """Translate along +x by d ~ U(r_min, frac * r_max), then rotate about
+    the sensor (the origin) in the xy-plane by a uniform angle.
 
     r_min / r_max are the nearest / farthest scene-point distances from the
-    center. z is untouched.
+    sensor. z is untouched.
     """
     gen = as_generator(rng)
-    center = np.asarray(cfg.scene_center, dtype=np.float64)
-    radii = np.linalg.norm(scene.points - center, axis=1)
+    radii = np.linalg.norm(scene.points, axis=1)
     d_x = sample_uniform(gen, float(radii.min()), cfg.placement_max_frac * float(radii.max()))
     d_lon = sample_uniform(gen, 0.0, TAU)
 
-    moved = np.asarray(points, dtype=np.float64) + center + np.array([d_x, 0.0, 0.0])
-    rel = moved - center
+    moved = np.asarray(points, dtype=np.float64) + np.array([d_x, 0.0, 0.0])
     cs, sn = np.cos(d_lon), np.sin(d_lon)
     out = np.empty_like(moved)
-    out[:, 0] = center[0] + cs * rel[:, 0] - sn * rel[:, 1]
-    out[:, 1] = center[1] + sn * rel[:, 0] + cs * rel[:, 1]
+    out[:, 0] = cs * moved[:, 0] - sn * moved[:, 1]
+    out[:, 1] = sn * moved[:, 0] + cs * moved[:, 1]
     out[:, 2] = moved[:, 2]
     return out
 

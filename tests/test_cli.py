@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from oodlab.config import load_config
 from oodlab.core import RngStream, Scene
 from oodlab.io import write_scene
 from oodlab.model import MlpParams, save_checkpoint
@@ -50,6 +51,48 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", scan={"azimuth_step_deg": 0.0})
         assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
         assert "azimuth_step_deg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, key", [
+        ({"train": {"epochs": "10"}}, "train.epochs"),
+        ({"loss": {"weight_abstain": "x"}}, "loss.weight_abstain"),
+        ({"seed": 1.5}, "seed"),
+        ({"scan": {"beam_count": 2.5}}, "scan.beam_count"),
+        ({"loss": {"clamp_beta": 1}}, "loss.clamp_beta"),
+        ({"train": {"learning_rate": True}}, "train.learning_rate"),
+        ({"train": {"hidden_sizes": [8, "8"]}}, "train.hidden_sizes[1]"),
+    ])
+    def test_wrong_json_type_names_key(self, tmp_path, monkeypatch, capsys, data, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", **data)
+        assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
+        assert f"{key}: expected" in capsys.readouterr().err
+
+    def test_integer_accepted_for_number(self, tmp_path):
+        cfg = load_config(write_config(tmp_path / "c.json", loss={"weight_abstain": 1},
+                                       scan={"obstacle_distance": [4, 22.5]}))
+        assert type(cfg.loss.weight_abstain) is float
+        assert cfg.scan.obstacle_distance == (4.0, 22.5)
+
+    @pytest.mark.parametrize("key", [
+        "margin_in", "margin_out", "margin_resized", "margin_synth",
+        "weight_penalty", "weight_dynamic", "weight_cce",
+    ])
+    def test_removed_loss_keys_rejected(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", loss={key: 1.0})
+        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert f"unknown config key: loss.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        ({"loss": {"weight_abstain": -1.0}}, "loss: weight_abstain"),
+        ({"features": {"normalizers": {"z": "x"}}}, "features: normalizers['z']"),
+    ])
+    def test_invalid_library_section_named(self, tmp_path, monkeypatch, capsys,
+                                           data, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", **data)
+        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_invalid_json(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

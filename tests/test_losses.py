@@ -13,6 +13,7 @@ from oodlab.losses import (
     compute_alpha,
     dynamic_penalty_loss,
     finite_difference_grads,
+    margins,
     max_relative_error,
     penalty_loss,
     random_instance,
@@ -22,8 +23,9 @@ from oodlab.losses import (
 )
 
 SPACE4 = LabelSpace(4)
-# the hand cases below are written against the reference margins
-CFG = LossConfig(*REFERENCE_MARGINS)
+CFG = LossConfig()
+# the penalty hand cases use c = 1
+M_IN, M_OUT, M_ROUT, M_SOUT = margins(1)
 
 
 def head_from_alpha(alphas, outlier_logits=None):
@@ -83,7 +85,7 @@ class TestAbstainLoss:
     def test_hand_single_inlier(self):
         space = LabelSpace(1)
         head = HeadOutput(np.array([[-2.0]]), np.array([0.0]))
-        res = abstain_loss(head, [1], space, CFG)
+        res = abstain_loss(head, [1], space)
         p_o = 1.0 / (1.0 + math.exp(-2.0))
         p_y = math.exp(-2.0) / (1.0 + math.exp(-2.0))
         expect = -math.log(p_y + p_o / 4.0)  # alpha = 2
@@ -94,7 +96,7 @@ class TestAbstainLoss:
         space = LabelSpace(3)
         y = np.array([[2.0, -1.0, 0.5]])
         head = HeadOutput(y, np.array([-40.0]))
-        res = abstain_loss(head, [1], space, CFG)
+        res = abstain_loss(head, [1], space)
         z = np.concatenate([y[0], [-40.0]])
         ce = -(z[0] - math.log(np.exp(z).sum()))
         assert res.value == pytest.approx(ce, abs=1e-8)
@@ -102,7 +104,7 @@ class TestAbstainLoss:
     def test_outlier_branch_sums_not_averages(self):
         space = LabelSpace(2)
         head = HeadOutput(np.array([[0.0, 0.0]]), np.array([0.0]))
-        res = abstain_loss(head, [space.resized_outlier], space, CFG)
+        res = abstain_loss(head, [space.resized_outlier], space)
         # p = (1/3, 1/3, 1/3); alpha = -log 2, so alpha^2 < 1 and the payoff
         # is floored at 1: abstain term = (1/3) / max(1, log(2)^2) = 1/3
         a = (1.0 / 3.0) / max(1.0, math.log(2.0) ** 2)
@@ -113,8 +115,8 @@ class TestAbstainLoss:
         space = LabelSpace(2)
         gen = RngStream(3, 0).generator()
         head = HeadOutput(gen.normal(size=(4, 2)), gen.normal(size=4))
-        r1 = abstain_loss(head, [3, 3, 3, 3], space, CFG)
-        r2 = abstain_loss(head, [4, 4, 4, 4], space, CFG)
+        r1 = abstain_loss(head, [3, 3, 3, 3], space)
+        r2 = abstain_loss(head, [4, 4, 4, 4], space)
         assert r1.value == r2.value
 
     def test_monotone_in_outlier_logit_for_outliers(self):
@@ -123,17 +125,17 @@ class TestAbstainLoss:
         y = gen.normal(size=(6, 3))
         o = gen.normal(size=6)
         labels = [space.synthetic_outlier] * 6
-        base = abstain_loss(HeadOutput(y, o), labels, space, CFG).value
-        bumped = abstain_loss(HeadOutput(y, o + 0.1), labels, space, CFG).value
+        base = abstain_loss(HeadOutput(y, o), labels, space).value
+        bumped = abstain_loss(HeadOutput(y, o + 0.1), labels, space).value
         assert bumped < base
 
     def test_gradients_match_finite_differences(self):
         worst = 0.0
         for k in range(25):
             head, labels, _ = random_instance(SPACE4, RngStream(100, k), max_points=24)
-            res = abstain_loss(head, labels, SPACE4, CFG)
+            res = abstain_loss(head, labels, SPACE4)
             fd = finite_difference_grads(
-                lambda h, b: abstain_loss(h, labels, SPACE4, CFG).value, head)
+                lambda h, b: abstain_loss(h, labels, SPACE4).value, head)
             worst = max(worst, max_relative_error(res, fd))
         assert worst <= 1e-4
 
@@ -141,7 +143,7 @@ class TestAbstainLoss:
         space = LabelSpace(2)
         head = HeadOutput(np.array([[800.0, -800.0], [-700.0, -720.0]]),
                           np.array([-500.0, 600.0]))
-        res = abstain_loss(head, [1, 3], space, CFG)
+        res = abstain_loss(head, [1, 3], space)
         assert np.isfinite(res.value)
 
     def test_nonnegative_when_alpha_at_least_one(self):
@@ -152,12 +154,12 @@ class TestAbstainLoss:
             alpha = compute_alpha(head.inlier_logits)
             if not np.all(np.abs(alpha) >= 1.0):
                 continue
-            assert abstain_loss(head, labels, space, CFG).value >= 0.0
+            assert abstain_loss(head, labels, space).value >= 0.0
 
     def test_invalid_label_rejected(self):
         head = HeadOutput(np.zeros((1, 4)), np.zeros(1))
         with pytest.raises(ValueError):
-            abstain_loss(head, [7], SPACE4, CFG)
+            abstain_loss(head, [7], SPACE4)
 
     def test_payoff_floor_keeps_value_nonnegative(self):
         # the bare 1/alpha^2 reward grows without bound as alpha -> 0; the
@@ -171,28 +173,28 @@ class TestAbstainLoss:
         labels = gen.integers(1, space.max_label + 1, size=200)
         assert np.all(np.abs(compute_alpha(y)) < 1.0)
         for i in range(200):
-            res = abstain_loss(HeadOutput(y[i:i + 1], o[i:i + 1]), labels[i:i + 1], space, CFG)
+            res = abstain_loss(HeadOutput(y[i:i + 1], o[i:i + 1]), labels[i:i + 1], space)
             assert res.value >= 0.0
 
     @pytest.mark.parametrize("c", [2, 3, 5, 20])
     def test_abstaining_pays_at_default_margins(self, c):
-        # a desk-like head: points at LossConfig's default margins for c with
+        # a desk-like head: points at the margins for c with
         # p^o = sigmoid(-4), over peaked and flat inlier softmaxes. Descent
         # must raise the outlier logit on every outlier, and lower it on
         # every inlier whose class has the largest softmax
-        m_in, m_out, _, m_synth = LossConfig().margins(c)
+        m_in, m_out, _, m_synth = margins(c)
         space = LabelSpace(c)
         gen = RngStream(220, c).generator()
         n = 300
         y = gen.normal(0.0, 2.0, size=(n, c))
         kind = np.arange(n) % 3
-        margins = np.array([m_out, m_synth, m_in])[kind]
-        y += (compute_alpha(y) - margins)[:, None]
-        assert np.allclose(compute_alpha(y), margins)
-        o = -4.0 - margins  # ohat + alpha = -4
+        target = np.array([m_out, m_synth, m_in])[kind]
+        y += (compute_alpha(y) - target)[:, None]
+        assert np.allclose(compute_alpha(y), target)
+        o = -4.0 - target  # ohat + alpha = -4
         labels = np.array([space.resized_outlier, space.synthetic_outlier, 0])[kind]
         labels[kind == 2] = np.argmax(y[kind == 2], axis=1) + 1
-        res = abstain_loss(HeadOutput(y, o), labels, space, LossConfig())
+        res = abstain_loss(HeadOutput(y, o), labels, space)
         assert np.all(res.grad_outlier[kind < 2] < 0.0)
         assert np.all(res.grad_outlier[kind == 2] > 0.0)
 
@@ -200,55 +202,52 @@ class TestAbstainLoss:
 class TestMargins:
     @pytest.mark.parametrize("c", [1, 3, 10, 100])
     def test_default_squares_straddle_c(self, c):
-        m_in, m_out, m_rout, m_sout = LossConfig().margins(c)
+        m_in, m_out, m_rout, m_sout = margins(c)
         assert m_in ** 2 == pytest.approx(c * 12.0 / 7.0)
         assert m_sout ** 2 == pytest.approx(c * 7.0 / 12.0)
         assert m_out == m_rout and m_out ** 2 < m_sout ** 2 < c < m_in ** 2
 
-    def test_explicit_margins_kept(self):
-        cfg = LossConfig(margin_in=-5.0, margin_synth=-1.0)
-        m_in, m_out, m_rout, m_sout = cfg.margins(3)
-        assert (m_in, m_sout) == (-5.0, -1.0)
-        assert (m_out, m_rout) == LossConfig().margins(3)[1:3]
-        assert CFG.margins(3) == REFERENCE_MARGINS
+    def test_reference_margins_at_their_center(self):
+        # c = 12 * 7 is the geometric mean of the reference m_in^2, m_sout^2
+        assert margins(84) == REFERENCE_MARGINS
 
 
 class TestPenaltyLoss:
     def test_inlier_inside_margin(self):
-        res = penalty_loss(head_from_alpha([-13.0]), [1], LabelSpace(1), CFG)
+        res = penalty_loss(head_from_alpha([M_IN - 1.0]), [1], LabelSpace(1))
         assert res.value == 0.0
 
     def test_inlier_violation(self):
-        res = penalty_loss(head_from_alpha([-10.0]), [1], LabelSpace(1), CFG)
-        assert res.value == pytest.approx(2.0)  # -10 - (-12)
+        res = penalty_loss(head_from_alpha([M_IN + 2.0]), [1], LabelSpace(1))
+        assert res.value == pytest.approx(2.0)
 
     def test_outlier_violation(self):
         space = LabelSpace(1)
-        res = penalty_loss(head_from_alpha([-7.0]), [space.resized_outlier], space, CFG)
-        assert res.value == pytest.approx(1.0)  # -6 - (-7)
+        res = penalty_loss(head_from_alpha([M_OUT - 1.0]), [space.resized_outlier], space)
+        assert res.value == pytest.approx(1.0)
 
     def test_zero_set_characterization(self):
         space = LabelSpace(1)
         # all inliers below m_in and all outliers above m_out -> exactly zero
-        head = head_from_alpha([-12.5, -14.0, -5.0, -6.0])
+        head = head_from_alpha([M_IN - 0.5, M_IN - 2.0, M_OUT + 1.0, M_OUT])
         labels = [1, 1, space.resized_outlier, space.synthetic_outlier]
-        assert penalty_loss(head, labels, space, CFG).value == 0.0
+        assert penalty_loss(head, labels, space).value == 0.0
         # any violation -> strictly positive
-        head2 = head_from_alpha([-11.9, -14.0, -5.0, -6.0])
-        assert penalty_loss(head2, labels, space, CFG).value > 0.0
+        head2 = head_from_alpha([M_IN + 0.1, M_IN - 2.0, M_OUT + 1.0, M_OUT])
+        assert penalty_loss(head2, labels, space).value > 0.0
 
     def test_outlier_logit_gradient_is_zero(self):
         head, labels, _ = random_instance(SPACE4, RngStream(5, 0))
-        res = penalty_loss(head, labels, SPACE4, CFG)
+        res = penalty_loss(head, labels, SPACE4)
         assert np.all(res.grad_outlier == 0.0)
 
     def test_gradients_match_finite_differences(self):
         worst = 0.0
         for k in range(25):
             head, labels, _ = random_instance(SPACE4, RngStream(300, k), max_points=24)
-            res = penalty_loss(head, labels, SPACE4, CFG)
+            res = penalty_loss(head, labels, SPACE4)
             fd = finite_difference_grads(
-                lambda h, b: penalty_loss(h, labels, SPACE4, CFG).value, head)
+                lambda h, b: penalty_loss(h, labels, SPACE4).value, head)
             worst = max(worst, max_relative_error(res, fd))
         assert worst <= 1e-4
 
@@ -257,33 +256,33 @@ class TestDynamicPenaltyLoss:
     def test_reduces_to_static(self):
         # beta = 1 and m_rout = m_out: identical values on inlier + c+1 data
         space = LabelSpace(1)
-        head = head_from_alpha([-10.0, -7.0, -13.0])
+        head = head_from_alpha([M_IN + 2.0, M_OUT - 1.0, M_IN - 1.0])
         labels = [1, space.resized_outlier, 1]
-        dyn = dynamic_penalty_loss(head, labels, space, CFG, np.ones(3))
-        stat = penalty_loss(head, labels, space, CFG)
+        dyn = dynamic_penalty_loss(head, labels, space, np.ones(3))
+        stat = penalty_loss(head, labels, space)
         assert dyn.value == pytest.approx(stat.value, abs=1e-15)
 
     def test_synth_outlier_margin(self):
         space = LabelSpace(1)
-        res = dynamic_penalty_loss(head_from_alpha([-8.0]),
-                                   [space.synthetic_outlier], space, CFG, np.ones(3))
-        assert res.value == pytest.approx(1.0)  # -7 - (-8)
+        res = dynamic_penalty_loss(head_from_alpha([M_SOUT - 1.0]),
+                                   [space.synthetic_outlier], space, np.ones(3))
+        assert res.value == pytest.approx(1.0)
 
     def test_beta_gradient_values(self):
         space = LabelSpace(1)
-        head = head_from_alpha([-10.0, -7.0, -8.0])
+        head = head_from_alpha([M_IN + 2.0, M_ROUT - 1.0, M_SOUT - 1.0])
         labels = [1, space.resized_outlier, space.synthetic_outlier]
-        # all three hinges active: -10 > -12, -7 < -6, -8 < -7
-        res = dynamic_penalty_loss(head, labels, space, CFG, np.ones(3))
-        assert res.grad_beta == pytest.approx([12.0 / 3, -6.0 / 3, -7.0 / 3])
+        # all three hinges active: above m_in, below m_rout, below m_sout
+        res = dynamic_penalty_loss(head, labels, space, np.ones(3))
+        assert res.grad_beta == pytest.approx([-M_IN / 3, M_ROUT / 3, M_SOUT / 3])
 
     def test_beta_gradient_matches_finite_differences(self):
         worst = 0.0
         for k in range(25):
             head, labels, beta = random_instance(SPACE4, RngStream(400, k), max_points=24)
-            res = dynamic_penalty_loss(head, labels, SPACE4, CFG, beta)
+            res = dynamic_penalty_loss(head, labels, SPACE4, beta)
             fd = finite_difference_grads(
-                lambda h, b: dynamic_penalty_loss(h, labels, SPACE4, CFG, b).value,
+                lambda h, b: dynamic_penalty_loss(h, labels, SPACE4, b).value,
                 head, beta=beta)
             worst = max(worst, max_relative_error(res, fd))
         assert worst <= 1e-6
@@ -294,61 +293,80 @@ class TestDynamicPenaltyLoss:
         # fraction of type k's points whose hinge is active
         space = LabelSpace(1)
         r, s = space.resized_outlier, space.synthetic_outlier
-        head = head_from_alpha([-1.0, -20.0, -20.0, -20.0, -30.0, 0.0,
-                                -40.0, 0.0, 0.0, 0.0])
+        # alphas in units of the reference margins (-12 / -6 / -7)
+        scale = M_IN / REFERENCE_MARGINS[0]
+        head = head_from_alpha(scale * np.array([-1.0, -20.0, -20.0, -20.0, -30.0, 0.0,
+                                                 -40.0, 0.0, 0.0, 0.0]))
         labels = [1, 1, 1, 1, r, r, s, s, s, s]
         optimum = np.array([0.75, 1.5, 1.25])  # f = 1/4, 1/2, 1/4; lambda = 1
-        res = dynamic_penalty_loss(head, labels, space, CFG, optimum)
+        res = dynamic_penalty_loss(head, labels, space, optimum)
         assert np.allclose(res.grad_beta, 0.0, atol=1e-12)
         loose = np.array([0.6, 1.7, 1.4])
-        g = dynamic_penalty_loss(head, labels, space, CFG, loose).grad_beta
+        g = dynamic_penalty_loss(head, labels, space, loose).grad_beta
         assert g[0] < 0 and g[1] > 0 and g[2] > 0  # descent tightens all
         import oodlab.losses as losses_mod
         monkeypatch.setattr(losses_mod, "BETA_PRIOR", 0.0)
         for beta in (np.ones(3), optimum, np.array([0.5, 2.0, 2.0])):
-            g = dynamic_penalty_loss(head, labels, space, CFG, beta).grad_beta
+            g = dynamic_penalty_loss(head, labels, space, beta).grad_beta
             assert g[0] > 0 and g[1] < 0 and g[2] < 0  # descent loosens all
 
     def test_bad_beta_shape(self):
         head, labels, _ = random_instance(SPACE4, RngStream(6, 0))
         with pytest.raises(ValueError):
-            dynamic_penalty_loss(head, labels, SPACE4, CFG, np.ones(2))
+            dynamic_penalty_loss(head, labels, SPACE4, np.ones(2))
 
 
 class TestTotalLoss:
-    def test_weight_zero_reduces_to_abstain(self):
+    def test_static_sums_weighted_abstain_and_penalty(self):
         head, labels, _ = random_instance(SPACE4, RngStream(7, 0))
-        cfg = LossConfig(weight_abstain=1.0, weight_penalty=0.0)
-        tot = total_loss(head, labels, SPACE4, cfg, "static")
-        ab = abstain_loss(head, labels, SPACE4, cfg)
-        assert tot.value == ab.value
-        assert np.array_equal(tot.grad_inlier, ab.grad_inlier)
+        cfg = LossConfig(weight_abstain=0.7)
+        tot = total_loss(head, labels, SPACE4, cfg, "abstain+static")
+        ab = abstain_loss(head, labels, SPACE4)
+        pen = penalty_loss(head, labels, SPACE4)
+        assert abs(tot.value - (0.7 * ab.value + pen.value)) < 1e-12
+        assert np.allclose(tot.grad_inlier, 0.7 * ab.grad_inlier + pen.grad_inlier,
+                           atol=1e-15)
+        assert np.allclose(tot.grad_outlier, 0.7 * ab.grad_outlier, atol=1e-15)
+        assert tot.grad_beta is None
 
-    def test_both_weights_zero(self):
+    def test_abstain_weight_zero_is_penalty(self):
         head, labels, _ = random_instance(SPACE4, RngStream(8, 0))
-        cfg = LossConfig(weight_abstain=0.0, weight_penalty=0.0)
-        tot = total_loss(head, labels, SPACE4, cfg, "static")
-        assert tot.value == 0.0
-        assert np.all(tot.grad_inlier == 0.0) and np.all(tot.grad_outlier == 0.0)
+        cfg = LossConfig(weight_abstain=0.0)
+        tot = total_loss(head, labels, SPACE4, cfg, "abstain+static")
+        pen = penalty_loss(head, labels, SPACE4)
+        assert tot.value == pen.value
+        assert np.array_equal(tot.grad_inlier, pen.grad_inlier)
+        assert np.all(tot.grad_outlier == 0.0)
 
     def test_linearity(self):
         head, labels, beta = random_instance(SPACE4, RngStream(9, 0))
-        cfg = LossConfig(weight_abstain=0.7, weight_dynamic=2.5)
-        tot = total_loss(head, labels, SPACE4, cfg, "dynamic", beta)
-        ab = abstain_loss(head, labels, SPACE4, cfg)
-        dyn = dynamic_penalty_loss(head, labels, SPACE4, cfg, beta)
-        assert abs(tot.value - (0.7 * ab.value + 2.5 * dyn.value)) < 1e-12
-        assert np.allclose(tot.grad_beta, 2.5 * dyn.grad_beta, atol=1e-15)
+        cfg = LossConfig(weight_abstain=0.7)
+        tot = total_loss(head, labels, SPACE4, cfg, "abstain+dynamic", beta)
+        ab = abstain_loss(head, labels, SPACE4)
+        dyn = dynamic_penalty_loss(head, labels, SPACE4, beta)
+        assert abs(tot.value - (0.7 * ab.value + dyn.value)) < 1e-12
+        assert np.array_equal(tot.grad_beta, dyn.grad_beta)
+
+    @pytest.mark.parametrize("mode, weight_cce", [("ce+cce", 1.0), ("ce", 0.0)])
+    def test_ce_modes_are_cce_loss(self, mode, weight_cce):
+        head, labels, beta = random_instance(SPACE4, RngStream(9, 1))
+        tot = total_loss(head, labels, SPACE4, CFG, mode, beta)
+        ref = cce_loss(head, labels, SPACE4, weight_cce)
+        assert tot.value == ref.value
+        assert np.array_equal(tot.grad_inlier, ref.grad_inlier)
+        assert np.array_equal(tot.grad_outlier, ref.grad_outlier)
+        assert tot.grad_beta is None
 
     def test_dynamic_requires_beta(self):
         head, labels, _ = random_instance(SPACE4, RngStream(10, 0))
         with pytest.raises(ValueError):
-            total_loss(head, labels, SPACE4, CFG, "dynamic")
+            total_loss(head, labels, SPACE4, CFG, "abstain+dynamic")
 
     def test_unknown_mode(self):
         head, labels, _ = random_instance(SPACE4, RngStream(10, 1))
-        with pytest.raises(ValueError):
-            total_loss(head, labels, SPACE4, CFG, "softmax")
+        for mode in ("softmax", "static", "dynamic"):
+            with pytest.raises(ValueError):
+                total_loss(head, labels, SPACE4, CFG, mode)
 
 
 class TestCceLoss:

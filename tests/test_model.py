@@ -67,6 +67,9 @@ class TestExtractFeatures:
             FeatureConfig(features=("x", "color"))
         with pytest.raises(ValueError):
             FeatureConfig(features=("density",), density_radius=0.0)
+        for divisor in ("x", 0.0, True):
+            with pytest.raises(ValueError):
+                FeatureConfig(normalizers={"z": divisor})
 
 
 class TestForward:
