@@ -49,7 +49,6 @@ from .losses import (
     HeadOutput,
     LossConfig,
     LossResult,
-    Probs,
     abstain_loss,
     cce_loss,
     compute_alpha,
@@ -72,7 +71,6 @@ __all__ = [
     "HeadOutput",
     "LossConfig",
     "LossResult",
-    "Probs",
     "abstain_loss",
     "cce_loss",
     "compute_alpha",

@@ -8,8 +8,12 @@ default). Exit codes: 0 success, 2 config error, 3 output collision,
 
 All randomness flows from the single top-level seed through per-scene
 stream ids; each stage uses its own stream-id namespace so streams are
-never reused across stages. Output files are written atomically (temp file
-+ rename) and every command records a RunManifest.
+never reused across stages. Every output file is written atomically by
+``io.atomic_write`` (temp file + rename), and every command records a
+RunManifest.
+
+``gradcheck`` sets only the instance count and size; the check itself runs
+at ``run_gradient_checks``'s defaults, against ``GRADCHECK_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError, RunConfig
 from .core import LabelSpace, RngStream, Scene
-from .io import generate_scan, load_asset_dir, read_scene, write_scene
+from .io import atomic_write, generate_scan, load_asset_dir, read_scene, write_scene
 from .losses import run_gradient_checks, softmax_head
 from .metrics import (
     ScoredPoints,
@@ -56,6 +60,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COLLISION = 3
 EXIT_NUMERIC = 4
+
+GRADCHECK_TOLERANCE = 1e-4
 
 # stream-id namespaces, one per stage, so (seed, stream) pairs never repeat
 STREAM_SYNTH = 1 << 32
@@ -87,13 +93,6 @@ def _check_collisions(paths, force: bool):
         )
 
 
-def _write_scene_atomic(scene: Scene, path_points: Path, path_labels: Path):
-    tmp_p, tmp_l = f"{path_points}.tmp", f"{path_labels}.tmp"
-    write_scene(scene, tmp_p, tmp_l)
-    os.replace(tmp_p, path_points)
-    os.replace(tmp_l, path_labels)
-
-
 def _scene_pairs(directory: Path) -> list[tuple[Path, Path]]:
     pairs = []
     for bin_path in sorted(directory.glob("*.bin")):
@@ -104,6 +103,12 @@ def _scene_pairs(directory: Path) -> list[tuple[Path, Path]]:
     if not pairs:
         raise ConfigError(f"no scene files in {directory}")
     return pairs
+
+
+def _input_digests(pairs, *paths) -> dict[str, str]:
+    """{file name: sha256} of ``paths`` and the scene file ``pairs``."""
+    files = [*paths, *(f for pair in pairs for f in pair)]
+    return {f.name: cfgmod.file_digest(f) for f in files}
 
 
 def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
@@ -123,7 +128,7 @@ def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
     outputs = []
     for name, scene in zip(names, scenes):
         p, l = out_dir / f"{name}.bin", out_dir / f"{name}.label"
-        _write_scene_atomic(scene, p, l)
+        write_scene(scene, p, l)
         outputs += [p.name, l.name]
     cfgmod.write_manifest(out_dir / "manifest.json", "genscan", cfg, {}, outputs)
     return EXIT_OK
@@ -173,13 +178,11 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
         return scene, reports
 
     results = _parallel(process, list(enumerate(pairs)), jobs)
+    inputs = _input_digests(pairs)
     outputs = []
     all_reports = {}
-    inputs = {}
     for (bin_path, label_path), (scene, reports) in zip(pairs, results):
-        inputs[bin_path.name] = cfgmod.file_digest(bin_path)
-        inputs[label_path.name] = cfgmod.file_digest(label_path)
-        _write_scene_atomic(scene, out_dir / bin_path.name, out_dir / label_path.name)
+        write_scene(scene, out_dir / bin_path.name, out_dir / label_path.name)
         outputs += [bin_path.name, label_path.name]
         all_reports[bin_path.stem] = [
             {
@@ -190,10 +193,8 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
             }
             for r in reports
         ]
-    cfgmod.atomic_write_text(
-        out_dir / "merge_reports.json",
-        json.dumps(all_reports, indent=2, sort_keys=True) + "\n",
-    )
+    atomic_write(out_dir / "merge_reports.json",
+                 json.dumps(all_reports, indent=2, sort_keys=True) + "\n")
     outputs.append("merge_reports.json")
     cfgmod.write_manifest(out_dir / "manifest.json", "synth", cfg, inputs, outputs)
     return EXIT_OK
@@ -234,13 +235,9 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     save_checkpoint(ckpt_path, params, beta)
     lines = ["epoch,loss"]
     lines += [f"{e},{repr(v)}" for e, v in enumerate(log.epoch_losses)]
-    cfgmod.atomic_write_text(log_path, "\n".join(lines) + "\n")
-    inputs = {}
-    for p, l in pairs:
-        inputs[p.name] = cfgmod.file_digest(p)
-        inputs[l.name] = cfgmod.file_digest(l)
+    atomic_write(log_path, "\n".join(lines) + "\n")
     cfgmod.write_manifest(
-        out_dir / "manifest.json", "train", cfg, inputs,
+        out_dir / "manifest.json", "train", cfg, _input_digests(pairs),
         [ckpt_path.name, log_path.name],
     )
     return EXIT_OK
@@ -268,7 +265,10 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
         scene = read_scene(*pair)
         head = forward(extract_features(scene, feature_cfg), params)
         probs = softmax_head(head)
-        pred = np.argmax(probs.full, axis=1) + 1
+        # argmax over [p^y, p^o]; a tie goes to the inlier class
+        p_in = probs.p_inlier
+        pred = np.where(probs.p_o > p_in.max(axis=1), head.num_classes + 1,
+                        p_in.argmax(axis=1) + 1)
         return (
             score_outlier_prob(probs),
             score_msp(probs),
@@ -278,11 +278,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
         )
 
     results = _parallel(process, pairs, jobs)
-    p_o = np.concatenate([r[0] for r in results])
-    msp = np.concatenate([r[1] for r in results])
-    maxlogit = np.concatenate([r[2] for r in results])
-    pred = np.concatenate([r[3] for r in results])
-    truth = np.concatenate([r[4] for r in results])
+    p_o, msp, maxlogit, pred, truth = map(np.concatenate, zip(*results))
     is_outlier = truth > space.num_classes
     if not is_outlier.any():
         print("warning: eval set contains no outlier points; AUPR/AUROC are NA",
@@ -297,19 +293,15 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
         except UndefinedMetricError:
             pr, roc = "NA", "NA"
         lines.append(f"{name},{pr},{roc},{repr(miou)}")
-    cfgmod.atomic_write_text(paths["summary"], "\n".join(lines) + "\n")
+    atomic_write(paths["summary"], "\n".join(lines) + "\n")
 
     points = ScoredPoints(p_o, is_outlier, pred, truth)
     curves = coverage_curves(points, space.num_classes, grid=grid)
     write_curves_csv(paths["curves"], curves)
     write_histogram_csv(paths["histogram"], po_histogram(p_o, is_outlier))
 
-    inputs = {ckpt_path.name: cfgmod.file_digest(ckpt_path)}
-    for p, l in pairs:
-        inputs[p.name] = cfgmod.file_digest(p)
-        inputs[l.name] = cfgmod.file_digest(l)
     cfgmod.write_manifest(
-        out_dir / "manifest.json", "eval", cfg, inputs,
+        out_dir / "manifest.json", "eval", cfg, _input_digests(pairs, ckpt_path),
         [p.name for p in paths.values()],
     )
     return EXIT_OK
@@ -317,15 +309,12 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
 
 def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
     gc = cfg.gradcheck
+    if gc.instances < 1:
+        raise ConfigError("gradcheck.instances: must be >= 1")
+    if gc.max_points < 2:
+        raise ConfigError("gradcheck.max_points: must be >= 2")
     results = run_gradient_checks(
-        num_instances=gc.instances,
-        max_points=gc.max_points,
-        num_classes=gc.num_classes,
-        sigma=gc.sigma,
-        seed=cfg.seed,
-        step=gc.step,
-        probes=gc.probes,
-    )
+        num_instances=gc.instances, max_points=gc.max_points, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "gradcheck.csv"
@@ -335,12 +324,12 @@ def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
     lines = ["loss,max_rel_error,worst_seed,tolerance,pass"]
     print(f"{'loss':<16} {'max rel error':>14} {'worst seed':>11} result")
     for name, (err, worst) in results.items():
-        ok = err <= gc.tolerance
+        ok = err <= GRADCHECK_TOLERANCE
         all_pass &= ok
         verdict = "pass" if ok else "FAIL"
         print(f"{name:<16} {err:>14.3e} {worst:>11d} {verdict}")
-        lines.append(f"{name},{repr(err)},{worst},{repr(gc.tolerance)},{verdict}")
-    cfgmod.atomic_write_text(report_path, "\n".join(lines) + "\n")
+        lines.append(f"{name},{repr(err)},{worst},{repr(GRADCHECK_TOLERANCE)},{verdict}")
+    atomic_write(report_path, "\n".join(lines) + "\n")
     cfgmod.write_manifest(
         out_dir / "manifest.json", "gradcheck", cfg, {}, [report_path.name]
     )

@@ -20,13 +20,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .io import PrimitiveObstacle, ScanConfig
+from .io import PrimitiveObstacle, ScanConfig, atomic_write
 from .losses import LossConfig
 from .metrics import default_grid
 from .model import FeatureConfig, TrainConfig
@@ -168,11 +167,6 @@ class MetricsSection:
 class GradcheckSection:
     instances: int = 100
     max_points: int = 64
-    num_classes: int = 4
-    sigma: float = 3.0
-    step: float = 1e-5
-    tolerance: float = 1e-4
-    probes: int = 12
 
 
 @dataclass
@@ -268,25 +262,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         _apply(cfg, data, prefix="")
     if overrides:
         _apply(cfg, overrides, prefix="")
+    if cfg.num_classes < 1:
+        raise ConfigError("num_classes: must be >= 1")
     return cfg
-
-
-def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
-def resolved_dict(cfg: RunConfig) -> dict:
-    return _jsonable(cfg)
 
 
 def file_digest(path) -> str:
@@ -297,13 +275,6 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_manifest(path, command: str, cfg: RunConfig, inputs: dict[str, str],
                    outputs: list[str]) -> None:
     payload = {
@@ -311,8 +282,8 @@ def write_manifest(path, command: str, cfg: RunConfig, inputs: dict[str, str],
         "command": command,
         "seed": cfg.seed,
         "rng": "numpy-philox",
-        "config": resolved_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "inputs": dict(sorted(inputs.items())),
         "outputs": sorted(outputs),
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

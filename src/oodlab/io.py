@@ -8,11 +8,16 @@ low 16 bits.
 Assets arrive either as ASCII "x y z" point lists or as OBJ-subset meshes
 (v/f records only; polygon faces are fan-triangulated) which are converted
 to point sets by area-weighted surface sampling.
+
+``atomic_write`` is the package's only file writer: every artifact goes to
+a temp file that is then renamed over its target, so a reader never sees a
+partial file and a failed write leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,6 +92,22 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
+def atomic_write(path, data) -> None:
+    """Write ``data`` (bytes, or text as UTF-8) to ``path`` through the
+    temp file ``<path>.tmp`` and ``os.replace``; the temp file is removed
+    if either step fails."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def read_scene(path_points, path_labels) -> Scene:
     """Read a point/label file pair into a Scene.
 
@@ -109,13 +130,14 @@ def read_scene(path_points, path_labels) -> Scene:
 
 
 def write_scene(scene: Scene, path_points, path_labels) -> None:
-    """Write a Scene as a point/label file pair; absent intensity becomes 0."""
+    """Write a Scene as a point/label file pair, each atomically; absent
+    intensity becomes 0."""
     n = scene.num_points
     records = np.empty((n, 4), dtype="<f4")
     records[:, :3] = scene.points
     records[:, 3] = 0.0 if scene.intensity is None else scene.intensity
-    records.tofile(path_points)
-    scene.labels.astype("<u4").tofile(path_labels)
+    atomic_write(path_points, records.tobytes())
+    atomic_write(path_labels, scene.labels.astype("<u4").tobytes())
 
 
 def read_xyz(path, source_id: str | None = None, up_axis: str = "+z") -> ObjectAsset:

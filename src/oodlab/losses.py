@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,32 +82,18 @@ class HeadOutput:
 
 
 @dataclass
-class Probs:
-    """Row-stochastic (n, c+1) probabilities; last column is p^o."""
-
-    full: np.ndarray
-
-    @property
-    def inlier(self) -> np.ndarray:
-        return self.full[:, :-1]
-
-    @property
-    def outlier(self) -> np.ndarray:
-        return self.full[:, -1]
-
-
-@dataclass
 class HeadStats:
     """The per-point quantities every loss term shares (module docstring):
     alpha (n,), the inlier softmax s (n, c), p^o (n,) and q = 1 - p^o,
-    which is computed directly so that it keeps its precision as p^o -> 1."""
+    which is computed directly so that it keeps its precision as p^o -> 1.
+    ``p_inlier`` (n, c) and ``p_o`` are the (c+1)-way softmax's columns."""
 
     alpha: np.ndarray
     s: np.ndarray
     p_o: np.ndarray
     q: np.ndarray
 
-    @property
+    @cached_property
     def p_inlier(self) -> np.ndarray:
         return self.s * self.q[:, None]
 
@@ -215,10 +202,11 @@ class LossResult:
         return np.concatenate([self.grad_inlier, self.grad_outlier[:, None]], axis=1)
 
 
-def softmax_head(head: HeadOutput) -> Probs:
-    """Row-wise softmax over [yhat, ohat], from ``head_stats``."""
-    st = head_stats(head)
-    return Probs(np.concatenate([st.p_inlier, st.p_o[:, None]], axis=1))
+def softmax_head(head: HeadOutput) -> HeadStats:
+    """Row-wise softmax over [yhat, ohat]: the ``head_stats`` of ``head``,
+    whose ``p_inlier`` and ``p_o`` hold its c inlier columns and its
+    outlier column."""
+    return head_stats(head)
 
 
 def compute_alpha(inlier_logits: np.ndarray) -> np.ndarray:
@@ -444,9 +432,7 @@ def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.
     cols = merged - 1
 
     z = head.logits()
-    z_max = _row_reduce(np.maximum, z)
-    e = np.exp(z - z_max[:, None])
-    denom = _row_reduce(np.add, e)
+    z_max, e, denom = _logsumexp_parts(z)
     lse = np.log(denom) + z_max
 
     rows = np.arange(n)
@@ -462,9 +448,7 @@ def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.
         # than gathering the inlier rows and scattering them back
         z_ex = z.copy()
         z_ex[rows, cols] = -np.inf
-        m = _row_reduce(np.maximum, z_ex)
-        e_ex = np.exp(z_ex - m[:, None])
-        sum_ex = _row_reduce(np.add, e_ex)
+        m, e_ex, sum_ex = _logsumexp_parts(z_ex)
         cce = np.where(inlier, m + np.log(sum_ex) - z[:, c], 0.0)
         w = e_ex
         w /= sum_ex[:, None]

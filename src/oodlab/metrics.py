@@ -8,7 +8,10 @@ complement of the inlier mIoU on the covered subset, divided by coverage;
 at full coverage it reduces to 100 - mIoU exactly.
 
 AUPR/AUROC points of the coverage curves are computed on the covered subset
-at each threshold (one of two defensible readings; flagged in the README).
+at each threshold: they measure how well the score still separates
+outliers among the points the model predicts on. (Computed over all points
+instead, they would not change with the threshold, which leaves the scores'
+ranking as it is.)
 Undefined curve points (e.g. a single-class covered subset) are emitted as
 explicit gaps ("NA" in CSV output), never interpolated.
 """
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
+
+from .io import atomic_write
 
 
 class UndefinedMetricError(ValueError):
@@ -230,27 +235,21 @@ def _fmt(v: float) -> str:
 
 
 def write_curves_csv(path, curves: CoverageCurves) -> None:
-    """UTF-8, LF-terminated CSV: coverage,threshold,risk,aupr,auroc."""
+    """UTF-8, LF-terminated CSV: coverage,threshold,risk,aupr,auroc,
+    written atomically."""
     lines = ["coverage,threshold,risk,aupr,auroc"]
-    for i in range(len(curves.coverage)):
-        lines.append(",".join([
-            _fmt(curves.coverage[i]),
-            _fmt(curves.threshold[i]),
-            _fmt(curves.risk[i]),
-            _fmt(curves.aupr[i]),
-            _fmt(curves.auroc[i]),
-        ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = (curves.coverage, curves.threshold, curves.risk, curves.aupr, curves.auroc)
+    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_histogram_csv(path, hist: Histogram) -> None:
-    """UTF-8, LF-terminated CSV: bin_lo,bin_hi,inlier_count,outlier_count."""
+    """UTF-8, LF-terminated CSV: bin_lo,bin_hi,inlier_count,outlier_count,
+    written atomically."""
     lines = ["bin_lo,bin_hi,inlier_count,outlier_count"]
     for i in range(10):
         lines.append(
             f"{_fmt(hist.bin_edges[i])},{_fmt(hist.bin_edges[i + 1])},"
             f"{int(hist.inlier_counts[i])},{int(hist.outlier_counts[i])}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

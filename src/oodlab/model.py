@@ -20,7 +20,6 @@ Checkpoint layout (all little-endian):
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -28,8 +27,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import LabelSpace, RngStream, Scene, as_generator, to_spherical
-from .io import FormatError
-from .losses import LOSS_MODES, HeadOutput, LossConfig, Probs, total_loss
+from .io import FormatError, atomic_write
+from .losses import LOSS_MODES, HeadOutput, HeadStats, LossConfig, total_loss
 
 FEATURE_NAMES = ("x", "y", "z", "r", "lat", "lon", "density")
 
@@ -72,6 +71,8 @@ class FeatureConfig:
         if "density" in self.features and not self.density_radius > 0:
             raise ValueError("density_radius must be > 0")
         for name, divisor in self.normalizers.items():
+            if name not in self.features:
+                raise ValueError(f"normalizers[{name!r}] names no selected feature")
             number = isinstance(divisor, (int, float)) and not isinstance(divisor, bool)
             if not number or divisor == 0:
                 raise ValueError(f"normalizers[{name!r}] must be a nonzero number")
@@ -334,11 +335,11 @@ def train(
     return params, beta, log
 
 
-def score_msp(probs: Probs) -> np.ndarray:
+def score_msp(probs: HeadStats) -> np.ndarray:
     """1 - max softmax probability over the inlier classes only (the inlier
     renormalization is exactly a softmax over the inlier logits)."""
-    denom = np.maximum(1.0 - probs.outlier, np.finfo(np.float64).tiny)
-    return 1.0 - probs.inlier.max(axis=1) / denom
+    denom = np.maximum(1.0 - probs.p_o, np.finfo(np.float64).tiny)
+    return 1.0 - probs.p_inlier.max(axis=1) / denom
 
 
 def score_maxlogit(inlier_logits: np.ndarray) -> np.ndarray:
@@ -346,13 +347,13 @@ def score_maxlogit(inlier_logits: np.ndarray) -> np.ndarray:
     return -np.asarray(inlier_logits, dtype=np.float64).max(axis=1)
 
 
-def score_outlier_prob(probs: Probs) -> np.ndarray:
+def score_outlier_prob(probs: HeadStats) -> np.ndarray:
     """The directly predicted outlier probability p^o."""
-    return probs.outlier.copy()
+    return probs.p_o.copy()
 
 
 def save_checkpoint(path, params: MlpParams, beta) -> None:
-    """Write the documented binary layout (atomically via a temp file)."""
+    """Write the documented binary layout (atomically, ``io.atomic_write``)."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (3,):
         raise ValueError("beta must have shape (3,)")
@@ -365,10 +366,7 @@ def save_checkpoint(path, params: MlpParams, beta) -> None:
         blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
         blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
     blob += np.ascontiguousarray(beta, dtype="<f8").tobytes()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(tmp, path)
+    atomic_write(path, bytes(blob))
 
 
 def load_checkpoint(path) -> tuple[MlpParams, np.ndarray]:

@@ -324,7 +324,6 @@ def resize_existing(
     inst = member_idx[component == chosen]
     lo, hi = k_range
     k = sample_uniform(gen, lo, hi) if hi > lo else float(lo)
-    centroid = scene.points[inst].mean(axis=0)
-    out.points[inst] = centroid + k * (scene.points[inst] - centroid)
+    out.points[inst] = resize(scene.points[inst], k, min_scale=lo)
     out.labels[inst] = space.resized_outlier
     return out, inst

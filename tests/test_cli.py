@@ -86,6 +86,7 @@ class TestConfig:
     @pytest.mark.parametrize("data, message", [
         ({"loss": {"weight_abstain": -1.0}}, "loss: weight_abstain"),
         ({"features": {"normalizers": {"z": "x"}}}, "features: normalizers['z']"),
+        ({"features": {"normalizers": {"densty": 10.0}}}, "features: normalizers['densty']"),
     ])
     def test_invalid_library_section_named(self, tmp_path, monkeypatch, capsys,
                                            data, message):
@@ -93,6 +94,15 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", **data)
         assert main(["train", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_num_classes_below_one_named(self, tmp_path, monkeypatch, capsys,
+                                         command, num_classes):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", num_classes=num_classes)
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert "num_classes: must be >= 1" in capsys.readouterr().err
 
     def test_invalid_json(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -398,6 +408,25 @@ class TestGradcheck:
         cfg = write_config(tmp_path / "g.json",
                            gradcheck={"instances": 2, "max_points": 8})
         assert main(["gradcheck", "--config", cfg]) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("key", ["num_classes", "sigma", "step", "tolerance", "probes"])
+    def test_fixed_settings_are_unknown_keys(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "g.json", gradcheck={key: 1})
+        assert main(["gradcheck", "--config", cfg]) == EXIT_CONFIG
+        assert f"unknown config key: gradcheck.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"instances": 0}, "gradcheck.instances: must be >= 1"),
+        ({"max_points": 1}, "gradcheck.max_points: must be >= 2"),
+    ])
+    def test_too_small_named(self, tmp_path, monkeypatch, capsys, data, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "g.json", gradcheck=data)
+        assert main(["gradcheck", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_report_lists_worst_seed_for_replay(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

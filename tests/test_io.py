@@ -1,9 +1,13 @@
 import math
+import os
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oodlab
 from oodlab.core import RngStream, Scene, to_spherical
 from oodlab.io import (
     FormatError,
@@ -12,6 +16,7 @@ from oodlab.io import (
     PrimitiveObstacle,
     ScanConfig,
     TriangleMesh,
+    atomic_write,
     generate_scan,
     load_asset,
     load_asset_dir,
@@ -84,6 +89,52 @@ class TestSceneFiles:
         scene = make_scene(2)
         with pytest.raises(OSError):
             write_scene(scene, tmp_path / "no_dir" / "a.bin", tmp_path / "a.label")
+
+
+def fail_rename(src, dst):
+    raise OSError("rename failed")
+
+
+class TestAtomicWrite:
+    def test_text_as_utf8_and_bytes_as_is(self, tmp_path):
+        atomic_write(tmp_path / "t.csv", "a,\u00e9\nb\n")
+        atomic_write(tmp_path / "b.bin", b"\x00\r\n")
+        assert (tmp_path / "t.csv").read_bytes() == "a,\u00e9\nb\n".encode("utf-8")
+        assert (tmp_path / "b.bin").read_bytes() == b"\x00\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.bin", "t.csv"]
+
+    def test_existing_file_intact_when_rename_fails(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        path.write_text("old\n")
+        monkeypatch.setattr(os, "replace", fail_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            atomic_write(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_scene_files_intact_when_rename_fails(self, tmp_path, monkeypatch):
+        write_scene(make_scene(4), tmp_path / "a.bin", tmp_path / "a.label")
+        before = [(tmp_path / n).read_bytes() for n in ("a.bin", "a.label")]
+        monkeypatch.setattr(os, "replace", fail_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            write_scene(make_scene(9, seed=1), tmp_path / "a.bin", tmp_path / "a.label")
+        assert [(tmp_path / n).read_bytes() for n in ("a.bin", "a.label")] == before
+
+    def test_only_io_writes_files(self):
+        """Every file the package writes goes through ``atomic_write``: no
+        other module renames files, dumps arrays or opens a file to write."""
+        writes = re.compile(
+            r"os\.replace|\.tofile\(|\.write_(text|bytes)\("
+            r"|\bopen\([^)]*[\"'][rbt]*[wxa+][rwxabt+]*[\"']"
+        )
+        package = Path(oodlab.__file__).parent
+        offenders = [
+            f"{path.name}:{lineno}: {line.strip()}"
+            for path in sorted(package.glob("*.py")) if path.name != "io.py"
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if writes.search(line)
+        ]
+        assert offenders == []
 
 
 class TestAssets:

@@ -39,26 +39,29 @@ class TestSoftmaxHead:
     def test_uniform(self):
         head = HeadOutput(np.zeros((2, 3)), np.zeros(2))
         probs = softmax_head(head)
-        assert np.allclose(probs.full, 0.25)
+        assert np.allclose(probs.p_inlier, 0.25)
+        assert np.allclose(probs.p_o, 0.25)
 
     def test_hand_case(self):
         head = HeadOutput(np.array([[math.log(2.0), 0.0]]), np.array([0.0]))
         probs = softmax_head(head)
-        assert np.allclose(probs.full, [[0.5, 0.25, 0.25]], atol=1e-15)
+        assert np.allclose(probs.p_inlier, [[0.5, 0.25]], atol=1e-15)
+        assert np.allclose(probs.p_o, [0.25], atol=1e-15)
 
     def test_shift_invariance(self):
         gen = RngStream(0, 0).generator()
         y = gen.normal(size=(10, 4))
         o = gen.normal(size=10)
-        a = softmax_head(HeadOutput(y, o)).full
-        b = softmax_head(HeadOutput(y + 1000.0, o + 1000.0)).full
-        assert np.max(np.abs(a - b)) < 1e-12
+        a = softmax_head(HeadOutput(y, o))
+        b = softmax_head(HeadOutput(y + 1000.0, o + 1000.0))
+        assert np.max(np.abs(a.p_inlier - b.p_inlier)) < 1e-12
+        assert np.max(np.abs(a.p_o - b.p_o)) < 1e-12
 
     def test_rows_sum_to_one(self):
         gen = RngStream(1, 0).generator()
         probs = softmax_head(HeadOutput(gen.normal(size=(50, 4)) * 5, gen.normal(size=50)))
-        assert np.max(np.abs(probs.full.sum(axis=1) - 1.0)) < 1e-9
-        assert np.all(probs.full > 0)
+        assert np.max(np.abs(probs.p_inlier.sum(axis=1) + probs.p_o - 1.0)) < 1e-9
+        assert np.all(probs.p_inlier > 0) and np.all(probs.p_o > 0)
 
 
 class TestComputeAlpha:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -305,17 +307,20 @@ class TestPoHistogram:
             po_histogram([1.5], [False])
 
 
+def small_curves():
+    return CoverageCurves(
+        coverage=np.array([0.5, 1.0]),
+        threshold=np.array([0.3, 1.0]),
+        risk=np.array([10.0, np.nan]),
+        aupr=np.array([np.nan, 0.75]),
+        auroc=np.array([0.5, 1.0]),
+    )
+
+
 class TestCsvOutput:
     def test_curves_csv(self, tmp_path):
-        curves = CoverageCurves(
-            coverage=np.array([0.5, 1.0]),
-            threshold=np.array([0.3, 1.0]),
-            risk=np.array([10.0, np.nan]),
-            aupr=np.array([np.nan, 0.75]),
-            auroc=np.array([0.5, 1.0]),
-        )
         path = tmp_path / "curves.csv"
-        write_curves_csv(path, curves)
+        write_curves_csv(path, small_curves())
         raw = path.read_bytes().decode("utf-8")
         lines = raw.split("\n")
         assert lines[0] == "coverage,threshold,risk,aupr,auroc"
@@ -332,3 +337,20 @@ class TestCsvOutput:
         assert len(lines) == 11
         assert lines[1] == "0.0,0.1,1,0"
         assert lines[10] == "0.9,1.0,0,1"
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_curves_csv(path, small_curves()),
+        lambda path: write_histogram_csv(path, po_histogram([0.05, 0.95], [False, True])),
+    ], ids=["curves", "histogram"])
+    def test_existing_file_intact_when_rename_fails(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def fail_rename(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            write(path)
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]

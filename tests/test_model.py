@@ -70,6 +70,11 @@ class TestExtractFeatures:
         for divisor in ("x", 0.0, True):
             with pytest.raises(ValueError):
                 FeatureConfig(normalizers={"z": divisor})
+        # a normalizer must name a selected feature
+        with pytest.raises(ValueError, match=r"normalizers\['densty'\]"):
+            FeatureConfig(normalizers={"densty": 10.0})
+        with pytest.raises(ValueError, match=r"normalizers\['x'\]"):
+            FeatureConfig(features=("z",), normalizers={"x": 20.0})
 
 
 class TestForward:
@@ -78,7 +83,8 @@ class TestForward:
                            [np.zeros(8), np.zeros(4)])
         head = forward(np.ones((5, 2)), params)
         probs = softmax_head(head)
-        assert np.allclose(probs.full, 0.25)
+        assert np.allclose(probs.p_inlier, 0.25)
+        assert np.allclose(probs.p_o, 0.25)
 
     def test_single_affine_layer_hand_case(self):
         params = MlpParams([np.eye(2) * np.array([[2.0, -1.0]]).T * 0 + np.array([[2.0, 0.0], [0.0, -1.0]])],
