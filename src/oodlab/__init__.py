@@ -35,48 +35,3 @@ def _pin_blas_threads() -> None:
 
 
 _pin_blas_threads()
-
-from .core import (
-    LabelSpace,
-    RngStream,
-    Scene,
-    from_spherical,
-    sample_object_count,
-    sample_uniform,
-    to_spherical,
-)
-from .losses import (
-    HeadOutput,
-    LossConfig,
-    LossResult,
-    abstain_loss,
-    cce_loss,
-    compute_alpha,
-    dynamic_penalty_loss,
-    penalty_loss,
-    softmax_head,
-    total_loss,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "LabelSpace",
-    "RngStream",
-    "Scene",
-    "from_spherical",
-    "sample_object_count",
-    "sample_uniform",
-    "to_spherical",
-    "HeadOutput",
-    "LossConfig",
-    "LossResult",
-    "abstain_loss",
-    "cce_loss",
-    "compute_alpha",
-    "dynamic_penalty_loss",
-    "penalty_loss",
-    "softmax_head",
-    "total_loss",
-    "__version__",
-]

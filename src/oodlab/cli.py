@@ -2,9 +2,10 @@
 
 Subcommands: genscan | synth | train | eval | gradcheck. Common flags:
 --config PATH (JSON run config), --seed N (override), --force (overwrite
-existing outputs), --jobs N (scene-level parallelism; OODLAB_JOBS is the
-default). Exit codes: 0 success, 2 config error, 3 output collision,
-4 numeric failure.
+existing outputs), --jobs N (scene-level parallelism, default 1). Exit
+codes: 0 success, 2 config error, 3 output collision, 4 numeric failure,
+5 malformed data file (a scene, asset or checkpoint; the message names
+the file).
 
 All randomness flows from the single top-level seed through per-scene
 stream ids; each stage uses its own stream-id namespace so streams are
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -30,7 +30,8 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError, RunConfig
 from .core import LabelSpace, RngStream, Scene
-from .io import atomic_write, generate_scan, load_asset_dir, read_scene, write_scene
+from .io import (FormatError, atomic_write, generate_scan, load_asset_dir, read_scene,
+                 write_scene)
 from .losses import run_gradient_checks, softmax_head
 from .metrics import (
     ScoredPoints,
@@ -60,6 +61,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_COLLISION = 3
 EXIT_NUMERIC = 4
+EXIT_DATA = 5
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -205,17 +207,11 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     loss_cfg = cfgmod.validated(cfg.loss, "loss")
     feature_cfg = cfgmod.validated(cfg.features, "features")
     space = LabelSpace(cfg.num_classes)
-    in_dir = Path(cfg.resolved_train_dir())
+    in_dir = Path(cfg.train_dir or cfg.synth_dir)
     if not in_dir.is_dir():
         raise ConfigError(f"training scene dir does not exist: {in_dir}")
     pairs = _scene_pairs(in_dir)
     scenes = [read_scene(p, l) for p, l in pairs]
-    if train_cfg.loss_mode != "ce":
-        if not any(space.is_outlier(s.labels).any() for s in scenes):
-            raise ConfigError(
-                f"train.loss_mode: {train_cfg.loss_mode!r} requires outlier "
-                "labels in the training scenes"
-            )
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,6 +227,8 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:
+        raise ConfigError(f"{in_dir}: {exc}") from exc
 
     save_checkpoint(ckpt_path, params, beta)
     lines = ["epoch,loss"]
@@ -250,7 +248,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     ckpt_path = Path(cfg.resolved_checkpoint())
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint does not exist: {ckpt_path}")
-    in_dir = Path(cfg.resolved_eval_dir())
+    in_dir = Path(cfg.eval_dir or cfg.synth_dir)
     if not in_dir.is_dir():
         raise ConfigError(f"eval scene dir does not exist: {in_dir}")
     pairs = _scene_pairs(in_dir)
@@ -356,23 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON run config path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="parallel scene workers (default: $OODLAB_JOBS or 1)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("OODLAB_JOBS", "1"))
     try:
         overrides = {} if args.seed is None else {"seed": args.seed}
         cfg = cfgmod.load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg, args.force, jobs)
+        return COMMANDS[args.command](cfg, args.force, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FormatError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except OutputCollision as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLISION

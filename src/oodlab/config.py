@@ -115,6 +115,8 @@ class SynthSection:
     def build(self) -> SynthesisConfig:
         if self.mode not in ("asset", "resize", "both"):
             raise ConfigError("synthesis.mode: must be asset, resize, or both")
+        if self.asset_sample_count < 10:
+            raise ConfigError("synthesis.asset_sample_count: must be >= 10")
         try:
             return SynthesisConfig(
                 object_count_trials=self.object_count_trials,
@@ -188,12 +190,6 @@ class RunConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     metrics: MetricsSection = field(default_factory=MetricsSection)
     gradcheck: GradcheckSection = field(default_factory=GradcheckSection)
-
-    def resolved_train_dir(self) -> str:
-        return self.train_dir or self.synth_dir
-
-    def resolved_eval_dir(self) -> str:
-        return self.eval_dir or self.synth_dir
 
     def resolved_checkpoint(self) -> str:
         return self.checkpoint or str(Path(self.out_dir) / "model.ckpt")

@@ -37,9 +37,6 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, stream: int) -> "RngStream":
-        return RngStream(self.seed, stream)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream, a numpy Generator, or any duck-typed stand-in."""

@@ -12,6 +12,10 @@ to point sets by area-weighted surface sampling.
 ``atomic_write`` is the package's only file writer: every artifact goes to
 a temp file that is then renamed over its target, so a reader never sees a
 partial file and a failed write leaves the previous file intact.
+
+A scene pair (``read_scene``), asset (``load_asset``) or checkpoint
+(``model.load_checkpoint``) that does not match its format raises
+``FormatError``, whose message begins with the file's path.
 """
 
 from __future__ import annotations
@@ -108,25 +112,31 @@ def atomic_write(path, data) -> None:
             os.remove(tmp)
 
 
+def _record_count(path, record_bytes: int, kind: str) -> int:
+    size = os.path.getsize(path)
+    if size == 0 or size % record_bytes:
+        raise FormatError(f"{path}: truncated {kind} file ({size} bytes)")
+    return size // record_bytes
+
+
 def read_scene(path_points, path_labels) -> Scene:
     """Read a point/label file pair into a Scene.
 
-    Raises FormatError on truncated files or point/label count mismatch.
+    Raises FormatError on a file that is not a whole number of records, a
+    point/label count mismatch, or a non-finite coordinate.
     """
-    raw = np.fromfile(path_points, dtype="<f4")
-    if raw.size == 0 or raw.size % 4 != 0:
-        raise FormatError(f"{path_points}: truncated point file ({raw.size * 4} bytes)")
-    records = raw.reshape(-1, 4)
+    n = _record_count(path_points, POINT_RECORD_BYTES, "point")
+    n_labels = _record_count(path_labels, LABEL_RECORD_BYTES, "label")
+    if n_labels != n:
+        raise FormatError(f"{path_labels}: {n_labels} labels for {n} points")
+    records = np.fromfile(path_points, dtype="<f4").reshape(-1, 4)
     labels_raw = np.fromfile(path_labels, dtype="<u4")
-    if labels_raw.size != records.shape[0]:
-        raise FormatError(
-            f"{path_labels}: {labels_raw.size} labels for {records.shape[0]} points"
-        )
-    return Scene(
-        points=records[:, :3].astype(np.float64),
-        labels=(labels_raw & SEMANTIC_MASK).astype(np.int64),
-        intensity=records[:, 3].astype(np.float64),
-    )
+    try:
+        return Scene(points=records[:, :3].astype(np.float64),
+                     labels=(labels_raw & SEMANTIC_MASK).astype(np.int64),
+                     intensity=records[:, 3].astype(np.float64))
+    except ValueError as exc:
+        raise FormatError(f"{path_points}: {exc}") from exc
 
 
 def write_scene(scene: Scene, path_points, path_labels) -> None:
@@ -140,7 +150,7 @@ def write_scene(scene: Scene, path_points, path_labels) -> None:
     atomic_write(path_labels, scene.labels.astype("<u4").tobytes())
 
 
-def read_xyz(path, source_id: str | None = None, up_axis: str = "+z") -> ObjectAsset:
+def read_xyz(path) -> ObjectAsset:
     """Parse an ASCII "x y z" per-line asset; blank lines and # comments allowed."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -156,8 +166,7 @@ def read_xyz(path, source_id: str | None = None, up_axis: str = "+z") -> ObjectA
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: no points")
-    sid = source_id if source_id is not None else Path(path).stem
-    return ObjectAsset(np.array(rows), source_id=sid, up_axis=up_axis)
+    return ObjectAsset(np.array(rows), source_id=Path(path).stem)
 
 
 def read_obj(path) -> TriangleMesh:
@@ -206,9 +215,7 @@ def sample_mesh_surface(
     if count < 10:
         raise ValueError("count must be >= 10")
     areas = mesh.areas()
-    live = areas > 0.0
-    if not live.any():
-        raise MeshError("all triangles are degenerate")
+    live = areas > 0.0  # TriangleMesh guarantees one
     tri = mesh.triangles[live]
     cum = np.cumsum(areas[live])
     gen = as_generator(rng)
@@ -223,22 +230,25 @@ def sample_mesh_surface(
     return ObjectAsset(pts, source_id=source_id, up_axis=up_axis)
 
 
-def load_asset(path, count: int = 2048, rng=None, up_axis: str | None = None) -> ObjectAsset:
+def load_asset(path, count: int = 2048, rng=None) -> ObjectAsset:
     """Load one asset file, sampling OBJ meshes to `count` surface points.
 
-    OBJ assets default to the ShapeNet +y-up convention; point-list assets
-    default to +z-up.
+    OBJ assets follow the ShapeNet +y-up convention; point-list assets are
+    +z-up. An asset that cannot be parsed or built raises FormatError.
     """
     path = Path(path)
-    if path.suffix.lower() == ".obj":
-        if rng is None:
-            raise ValueError("rng is required to sample an OBJ mesh")
-        mesh = read_obj(path)
-        return sample_mesh_surface(
-            mesh, count, rng, source_id=path.stem,
-            up_axis="+y" if up_axis is None else up_axis,
-        )
-    return read_xyz(path, up_axis="+z" if up_axis is None else up_axis)
+    is_mesh = path.suffix.lower() == ".obj"
+    if is_mesh and rng is None:
+        raise ValueError("rng is required to sample an OBJ mesh")
+    try:
+        if is_mesh:
+            return sample_mesh_surface(read_obj(path), count, rng,
+                                       source_id=path.stem, up_axis="+y")
+        return read_xyz(path)
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def load_asset_dir(directory, count: int = 2048, rng=None) -> list[ObjectAsset]:

@@ -52,9 +52,6 @@ class ScoredPoints:
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
 
 def auroc(scores, is_outlier) -> float:
     """Rank-based (Mann-Whitney) AUROC with midrank tie handling."""

@@ -37,11 +37,9 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit a non-finite loss; carries the last epoch that finished."""
+    """Training hit a non-finite loss; names the last epoch that finished."""
 
     def __init__(self, epoch: int, last_good_epoch: int | None):
-        self.epoch = epoch
-        self.last_good_epoch = last_good_epoch
         super().__init__(
             f"non-finite loss in epoch {epoch}"
             + (f" (last good epoch: {last_good_epoch})" if last_good_epoch is not None else "")
@@ -123,9 +121,6 @@ class MlpParams:
     @property
     def layer_sizes(self) -> list[int]:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def init_params(layer_sizes, rng) -> MlpParams:
@@ -246,6 +241,8 @@ class TrainConfig:
         if not self.beta_lr_scale >= 0:
             raise ValueError("beta_lr_scale must be >= 0")
         self.hidden_sizes = tuple(self.hidden_sizes)
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes must all be >= 1")
 
 
 @dataclass
@@ -265,12 +262,14 @@ def train(
     """Plain SGD on the selected objective; beta rides the same steps in
     dynamic mode. Deterministic given (scenes, configs, seed).
 
-    Loss modes other than plain "ce" need outlier-labelled points in the
-    dataset; raises ValueError if they are missing. Raises TrainingDiverged
-    on a non-finite loss.
+    Raises ValueError on a label outside ``space`` or, in a loss mode other
+    than plain "ce", on a dataset without outlier-labelled points; raises
+    TrainingDiverged on a non-finite loss.
     """
     if not scenes:
         raise ValueError("need at least one training scene")
+    for s in scenes:
+        space.validate(s.labels)
     if train_cfg.loss_mode != "ce":
         if not any(space.is_outlier(s.labels).any() for s in scenes):
             raise ValueError(
@@ -370,15 +369,23 @@ def save_checkpoint(path, params: MlpParams, beta) -> None:
 
 
 def load_checkpoint(path) -> tuple[MlpParams, np.ndarray]:
-    data = open(path, "rb").read()
+    """Read the documented layout; FormatError unless the file is exactly it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated checkpoint header ({len(data)} bytes)")
     version, n_layers = struct.unpack_from("<II", data, 4)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
-    sizes = struct.unpack_from(f"<{n_layers + 1}I", data, offset)
-    offset += 4 * (n_layers + 1)
+    offset = 12 + 4 * (n_layers + 1)
+    if len(data) < offset:
+        raise FormatError(f"{path}: truncated checkpoint header ({len(data)} bytes)")
+    sizes = struct.unpack_from(f"<{n_layers + 1}I", data, 12)
+    expected = offset + 8 * (sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])) + 3)
+    if len(data) != expected:
+        raise FormatError(f"{path}: {len(data)} bytes, layer sizes {sizes} imply {expected}")
     weights, biases = [], []
     for d_in, d_out in zip(sizes[:-1], sizes[1:]):
         w = np.frombuffer(data, dtype="<f8", count=d_in * d_out, offset=offset)
@@ -388,7 +395,7 @@ def load_checkpoint(path) -> tuple[MlpParams, np.ndarray]:
         weights.append(w.reshape(d_in, d_out).copy())
         biases.append(b.copy())
     beta = np.frombuffer(data, dtype="<f8", count=3, offset=offset).copy()
-    offset += 24
-    if offset != len(data):
-        raise FormatError(f"{path}: trailing bytes in checkpoint")
-    return MlpParams(weights, biases), beta
+    try:
+        return MlpParams(weights, biases), beta
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

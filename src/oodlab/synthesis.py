@@ -58,6 +58,10 @@ class SynthesisConfig:
     occlusion_capped: bool = False
 
     def __post_init__(self):
+        if self.object_count_trials < 0:
+            raise ValueError("object_count_trials must be >= 0")
+        if not 0.0 <= self.object_count_prob <= 1.0:
+            raise ValueError("object_count_prob must lie in [0, 1]")
         if not self.overlap_delta > 0:
             raise ValueError("overlap_delta must be > 0")
         if not (self.window_lon > 0 and self.window_lat > 0):
@@ -310,15 +314,9 @@ def resize_existing(
     member_idx = np.flatnonzero(mask)
     pts = scene.points[member_idx]
     m = len(pts)
-    if m == 1:
-        component = np.zeros(1, dtype=np.int64)
-        n_comp = 1
-    else:
-        pairs = cKDTree(pts).query_pairs(cluster_threshold, output_type="ndarray")
-        graph = coo_matrix(
-            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
-        )
-        n_comp, component = connected_components(graph, directed=False)
+    pairs = cKDTree(pts).query_pairs(cluster_threshold, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
+    n_comp, component = connected_components(graph, directed=False)
 
     chosen = int(gen.integers(n_comp))
     inst = member_idx[component == chosen]

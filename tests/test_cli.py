@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from oodlab.config import load_config
 from oodlab.core import RngStream, Scene
 from oodlab.io import write_scene
@@ -87,12 +88,25 @@ class TestConfig:
         ({"loss": {"weight_abstain": -1.0}}, "loss: weight_abstain"),
         ({"features": {"normalizers": {"z": "x"}}}, "features: normalizers['z']"),
         ({"features": {"normalizers": {"densty": 10.0}}}, "features: normalizers['densty']"),
+        ({"train": {"hidden_sizes": [0]}}, "train: hidden_sizes must all be >= 1"),
     ])
     def test_invalid_library_section_named(self, tmp_path, monkeypatch, capsys,
                                            data, message):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json", **data)
         assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data, message", [
+        ({"object_count_trials": -1}, "synthesis: object_count_trials must be >= 0"),
+        ({"object_count_prob": 1.5}, "synthesis: object_count_prob must lie in [0, 1]"),
+        ({"object_count_prob": -0.5}, "synthesis: object_count_prob must lie in [0, 1]"),
+        ({"asset_sample_count": 9}, "synthesis.asset_sample_count: must be >= 10"),
+    ])
+    def test_invalid_synthesis_named(self, tmp_path, monkeypatch, capsys, data, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", synthesis=data)
+        assert main(["synth", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["synth", "train", "eval"])
@@ -156,12 +170,6 @@ class TestGenscan:
         assert main(["genscan", "--config", cfg2, "--jobs", "3"]) == EXIT_OK
         parallel = [(tmp_path / f"data/par/{i:06d}.bin").read_bytes() for i in range(4)]
         assert serial == parallel
-
-    def test_jobs_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("OODLAB_JOBS", "2")
-        cfg = write_config(tmp_path / "c.json", scan_count=2, scan=tiny_scan_section())
-        assert main(["genscan", "--config", cfg]) == EXIT_OK
 
 
 @pytest.fixture
@@ -437,3 +445,76 @@ class TestGradcheck:
         for row in rows:
             worst = int(row.split(",")[2])
             assert 0 <= worst < 3
+
+
+class TestMalformedInput:
+    """A malformed data file exits 5 naming the file, and a label outside
+    the label space exits 2 naming the label; neither ends in a traceback
+    (an exception escaping ``main``)."""
+
+    def expect(self, capsys, argv, code, named):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    def train_tree(self, tmp_path, bin_bytes=None, label_bytes=None, bad_label=None):
+        """Two training scenes in train_scenes/ (c = 2, outliers present);
+        the second scene's files or one of its labels replaced as given."""
+        d = tmp_path / "train_scenes"
+        TestTrain().write_train_scenes(tmp_path, with_outliers=True)
+        if bad_label is not None:
+            labels = bytearray((d / "000001.label").read_bytes())
+            labels[0:4] = struct.pack("<I", bad_label)
+            (d / "000001.label").write_bytes(bytes(labels))
+        if bin_bytes is not None:
+            (d / "000001.bin").write_bytes(bytes(bin_bytes))
+            (d / "000001.label").write_bytes(bytes(label_bytes))
+        return TestTrain().train_config(tmp_path, mode="abstain+static")
+
+    def test_train_label_outside_space(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.train_tree(tmp_path, bad_label=9)
+        self.expect(capsys, ["train", "--config", cfg], EXIT_CONFIG,
+                    "train_scenes: labels outside 1..4: [9]")
+        assert not (tmp_path / "out/model.ckpt").exists()
+
+    @pytest.mark.parametrize("bin_bytes, label_bytes, named", [
+        (17, 5, "000001.bin: truncated point file (17 bytes)"),
+        (3, 0, "000001.bin: truncated point file (3 bytes)"),
+        (16, 5, "000001.label: truncated label file (5 bytes)"),
+    ])
+    def test_train_partial_records(self, tmp_path, monkeypatch, capsys,
+                                   bin_bytes, label_bytes, named):
+        monkeypatch.chdir(tmp_path)
+        cfg = self.train_tree(tmp_path, bin_bytes=bin_bytes, label_bytes=label_bytes)
+        self.expect(capsys, ["train", "--config", cfg], EXIT_DATA, named)
+
+    def test_synth_non_finite_coordinate(self, scan_tree, capsys):
+        path = scan_tree / "data/scans/000001.bin"
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<f", float("nan"))  # y of the first point
+        path.write_bytes(bytes(data))
+        cfg = write_config(scan_tree / "s.json")
+        self.expect(capsys, ["synth", "--config", cfg], EXIT_DATA,
+                    "000001.bin: scene points must be finite")
+
+    def test_synth_asset_with_too_few_points(self, scan_tree, capsys):
+        (scan_tree / "assets/few.xyz").write_text("\n".join(f"{i} 0 0" for i in range(5)))
+        cfg = write_config(scan_tree / "s.json")
+        self.expect(capsys, ["synth", "--config", cfg], EXIT_DATA,
+                    "few.xyz: asset must contain at least 10 points")
+
+    @pytest.mark.parametrize("corrupt, named", [
+        ("cut30", "perfect.ckpt: 30 bytes, layer sizes (1, 3) imply 92"),
+        ("cut8", "perfect.ckpt: truncated checkpoint header (8 bytes)"),
+        ("magic", "perfect.ckpt: bad checkpoint magic"),
+        ("trailing", "perfect.ckpt: 93 bytes, layer sizes (1, 3) imply 92"),
+    ])
+    def test_eval_malformed_checkpoint(self, tmp_path, monkeypatch, capsys, corrupt, named):
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, ckpt = make_perfect_fixture(tmp_path)
+        data = ckpt.read_bytes()
+        ckpt.write_bytes({"cut30": data[:30], "cut8": data[:8], "magic": b"NOPE" + data[4:],
+                          "trailing": data + b"\0"}[corrupt])
+        cfg = TestEval().eval_config(tmp_path, scenes_dir, ckpt)
+        self.expect(capsys, ["eval", "--config", cfg], EXIT_DATA, named)

@@ -133,9 +133,6 @@ class TestRngStream:
         b = RngStream(42, 1).generator().uniform(size=10)
         assert not np.array_equal(a, b)
 
-    def test_child(self):
-        assert RngStream(1, 0).child(5) == RngStream(1, 5)
-
 
 class TestLabelSpace:
     def test_reserved_labels(self):

@@ -79,6 +79,27 @@ class TestSceneFiles:
         with pytest.raises(FormatError):
             read_scene(tmp_path / "bad.bin", tmp_path / "bad.label")
 
+    @pytest.mark.parametrize("bin_size, label_size, message", [
+        (17, 5, "a.bin: truncated point file (17 bytes)"),
+        (3, 4, "a.bin: truncated point file (3 bytes)"),
+        (0, 0, "a.bin: truncated point file (0 bytes)"),
+        (16, 5, "a.label: truncated label file (5 bytes)"),
+        (32, 4, "a.label: 1 labels for 2 points"),
+    ])
+    def test_partial_records_rejected(self, tmp_path, bin_size, label_size, message):
+        # trailing bytes are an error, not silently dropped
+        (tmp_path / "a.bin").write_bytes(bytes(bin_size))
+        (tmp_path / "a.label").write_bytes(struct.pack("<I", 1).ljust(label_size, b"\0"))
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_scene(tmp_path / "a.bin", tmp_path / "a.label")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_rejected(self, tmp_path, bad):
+        (tmp_path / "a.bin").write_bytes(struct.pack("<8f", 1, 2, 3, 0, 4, bad, 6, 0))
+        (tmp_path / "a.label").write_bytes(struct.pack("<2I", 1, 1))
+        with pytest.raises(FormatError, match="a.bin: scene points must be finite"):
+            read_scene(tmp_path / "a.bin", tmp_path / "a.label")
+
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(struct.pack("<8f", *range(8)))
         (tmp_path / "a.label").write_bytes(struct.pack("<I", 1))
@@ -185,6 +206,25 @@ class TestAssets:
         assert b.points.shape == (50, 3)
         both = load_asset_dir(tmp_path, count=50, rng=RngStream(0, 0))
         assert [x.source_id for x in both] == ["a", "b"]
+
+
+    UNUSABLE = {
+        "few.xyz": "\n".join(f"{i} 0 0" for i in range(5)),
+        "flat.xyz": "\n".join("1 2 3" for _ in range(12)),
+        "line.obj": "v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n",
+        "word.obj": "v 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    }
+
+    @pytest.mark.parametrize("name, message", [
+        ("few.xyz", "at least 10 points"),
+        ("flat.xyz", "bounding box is empty"),
+        ("line.obj", "degenerate"),
+        ("word.obj", "could not convert"),
+    ])
+    def test_unusable_asset_is_format_error(self, tmp_path, name, message):
+        (tmp_path / name).write_text(self.UNUSABLE[name])
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path / name))}: .*{message}"):
+            load_asset(tmp_path / name, count=50, rng=RngStream(0, 0))
 
 
 class TestMeshSampling:

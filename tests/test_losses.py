@@ -35,6 +35,14 @@ def head_from_alpha(alphas, outlier_logits=None):
     return HeadOutput((-alphas)[:, None], o)
 
 
+class TestHeadOutput:
+    def test_column_outlier_logit_rejected(self):
+        # the outlier logit is one value per point, (n,); an (n, 1) column
+        # is a shape error, not something to reshape silently
+        with pytest.raises(ValueError, match=r"outlier_logit must be \(n,\)"):
+            HeadOutput(np.zeros((3, 2)), np.zeros((3, 1)))
+
+
 class TestSoftmaxHead:
     def test_uniform(self):
         head = HeadOutput(np.zeros((2, 3)), np.zeros(2))

@@ -197,6 +197,9 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(loss_mode="mse")
+        for sizes in ((0,), (8, 0), (-1,)):
+            with pytest.raises(ValueError, match="hidden_sizes"):
+                TrainConfig(hidden_sizes=sizes)
 
     def test_ce_loss_decreases_on_separable_data(self):
         scenes = blob_scenes()
@@ -212,6 +215,17 @@ class TestTrain:
             cfg = TrainConfig(loss_mode=mode, epochs=1)
             with pytest.raises(ValueError):
                 train(scenes, LabelSpace(2), self.FEATS, cfg, LossConfig())
+
+    @pytest.mark.parametrize("mode", ["ce", "abstain+static"])
+    def test_labels_outside_space_rejected_on_entry(self, mode, monkeypatch):
+        import oodlab.model as model_mod
+
+        scenes = blob_scenes()
+        scenes[1].labels[0] = 9  # c = 2: labels run 1..4
+        monkeypatch.setattr(model_mod, "extract_features", pytest.fail)
+        cfg = TrainConfig(loss_mode=mode, epochs=1)
+        with pytest.raises(ValueError, match=r"labels outside 1\.\.4: \[9\]"):
+            train(scenes, LabelSpace(2), self.FEATS, cfg, LossConfig())
 
     def test_dynamic_mode_moves_beta(self):
         scenes = blob_scenes()
@@ -339,4 +353,40 @@ class TestCheckpoint:
         save_checkpoint(path, params, np.ones(3))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        params = init_params([3, 4, 3], RngStream(2, 0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, np.ones(3))
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(FormatError, match="model.ckpt"):
+                load_checkpoint(path)
+
+    def test_layer_count_beyond_file_rejected(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 2**32 - 1) + bytes(18))
+        with pytest.raises(FormatError, match="truncated checkpoint header"):
+            load_checkpoint(path)
+
+    def test_sizes_disagreeing_with_length_rejected(self, tmp_path):
+        # a 2 -> 2 layer and beta fill 20 + 8 * (4 + 2 + 3) = 92 bytes; a
+        # header declaring 3 -> 2 implies 20 + 8 * (6 + 2 + 3) = 108
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, MlpParams([np.ones((2, 2))], [np.ones(2)]), np.ones(3))
+        data = bytearray(path.read_bytes())
+        data[12:16] = struct.pack("<I", 3)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"92 bytes, layer sizes \(3, 2\) imply 108"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameters_rejected(self, tmp_path):
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(path, MlpParams([np.ones((2, 2))], [np.ones(2)]), np.ones(3))
+        data = bytearray(path.read_bytes())
+        data[20:28] = struct.pack("<d", float("nan"))  # first weight
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="nan.ckpt: layer 0: non-finite"):
             load_checkpoint(path)

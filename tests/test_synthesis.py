@@ -341,6 +341,16 @@ class TestResizeExisting:
         assert (after.max(0) - after.min(0))[:2] == pytest.approx(
             2.0 * (before.max(0) - before.min(0))[:2], rel=1e-9)
 
+    def test_single_point_instance(self, space3):
+        # one point is one component and its own centroid: relabelled, not moved
+        scene = grid_scene(extent=3.0)
+        scene.labels[7] = 2
+        out, idx = resize_existing(scene, 2, space3, (1.5, 3.0), RngStream(3, 0))
+        assert idx.tolist() == [7]
+        assert np.array_equal(out.points, scene.points)
+        assert out.labels[7] == space3.resized_outlier
+        assert np.array_equal(np.delete(out.labels, 7), np.delete(scene.labels, 7))
+
     def test_missing_class_warns_and_noops(self, space3):
         scene = grid_scene()
         with pytest.warns(UserWarning):
@@ -360,3 +370,9 @@ class TestSynthesisConfig:
             SynthesisConfig(scale_range=(2.0, 2.0))
         with pytest.raises(ValueError):
             SynthesisConfig(window_lon=0.0)
+        with pytest.raises(ValueError, match="object_count_trials"):
+            SynthesisConfig(object_count_trials=-1)
+        for prob in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="object_count_prob"):
+                SynthesisConfig(object_count_prob=prob)
+        SynthesisConfig(object_count_trials=0, object_count_prob=1.0)  # bounds accepted
