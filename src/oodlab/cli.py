@@ -3,9 +3,9 @@
 Subcommands: genscan | synth | train | eval | gradcheck. Common flags:
 --config PATH (JSON run config), --seed N (override), --force (overwrite
 existing outputs), --jobs N (scene-level parallelism, default 1). Exit
-codes: 0 success, 2 config error, 3 output collision, 4 numeric failure,
-5 malformed data file (a scene, asset or checkpoint; the message names
-the file).
+codes: 0 success, 2 config error (also a label or checkpoint size that the
+config contradicts), 3 output collision, 4 numeric failure, 5 malformed
+data file (a scene, asset or checkpoint; the message names the file).
 
 All randomness flows from the single top-level seed through per-scene
 stream ids; each stage uses its own stream-id namespace so streams are
@@ -225,7 +225,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
             rng=RngStream(cfg.seed, STREAM_TRAIN),
         )
     except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {in_dir}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         raise ConfigError(f"{in_dir}: {exc}") from exc
@@ -253,6 +253,11 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
         raise ConfigError(f"eval scene dir does not exist: {in_dir}")
     pairs = _scene_pairs(in_dir)
     params, _beta = load_checkpoint(ckpt_path)
+    got = (params.layer_sizes[0], params.layer_sizes[-1])
+    want = (len(feature_cfg.features), space.num_classes + 1)
+    if got != want:
+        raise ConfigError(f"{ckpt_path}: input/output sizes {got[0]}/{got[1]}, but the "
+                          f"config's features and num_classes need {want[0]}/{want[1]}")
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,6 +266,10 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
 
     def process(pair):
         scene = read_scene(*pair)
+        try:
+            space.validate(scene.labels)
+        except ValueError as exc:
+            raise ConfigError(f"{pair[1]}: {exc}") from exc
         head = forward(extract_features(scene, feature_cfg), params)
         probs = softmax_head(head)
         # argmax over [p^y, p^o]; a tie goes to the inlier class

@@ -7,7 +7,9 @@ low 16 bits.
 
 Assets arrive either as ASCII "x y z" point lists or as OBJ-subset meshes
 (v/f records only; polygon faces are fan-triangulated) which are converted
-to point sets by area-weighted surface sampling.
+to point sets by area-weighted surface sampling. Point lists are +z-up and
+meshes +y-up (the ShapeNet convention); ``load_asset`` rotates a sampled
+mesh onto +z, so every loaded asset is +z-up.
 
 ``atomic_write`` is the package's only file writer: every artifact goes to
 a temp file that is then renamed over its target, so a reader never sees a
@@ -33,7 +35,8 @@ POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
 SEMANTIC_MASK = 0xFFFF
 
-UP_AXES = ("+x", "-x", "+y", "-y", "+z", "-z")
+# the rotation taking a +y-up mesh's coordinates to +z-up ones
+_Y_UP_TO_Z_UP = np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]])
 
 
 class FormatError(ValueError):
@@ -46,16 +49,10 @@ class MeshError(ValueError):
 
 @dataclass
 class ObjectAsset:
-    """A canonical-pose anomaly object as a point set.
-
-    ``up_axis`` records which axis of the stored coordinates points "up" in
-    the asset's canonical frame; the synthesis pipeline rotates it onto the
-    scene +z before placement.
-    """
+    """A canonical-pose anomaly object as a point set, +z up."""
 
     points: np.ndarray
     source_id: str = ""
-    up_axis: str = "+z"
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -68,8 +65,6 @@ class ObjectAsset:
         extent = self.points.max(axis=0) - self.points.min(axis=0)
         if not (extent > 0.0).any():
             raise ValueError("asset bounding box is empty")
-        if self.up_axis not in UP_AXES:
-            raise ValueError(f"up_axis must be one of {UP_AXES}")
 
 
 @dataclass
@@ -203,9 +198,7 @@ def read_obj(path) -> TriangleMesh:
     return TriangleMesh(np.array(vertices), np.array(triangles))
 
 
-def sample_mesh_surface(
-    mesh: TriangleMesh, count: int, rng, source_id: str = "", up_axis: str = "+z"
-) -> ObjectAsset:
+def sample_mesh_surface(mesh: TriangleMesh, count: int, rng, source_id: str = "") -> ObjectAsset:
     """Sample `count` points uniformly over the mesh surface.
 
     Triangles are selected proportionally to area; inside each, barycentric
@@ -227,14 +220,16 @@ def sample_mesh_surface(
     s = np.sqrt(gen.uniform(size=count))[:, None]
     t = gen.uniform(size=count)[:, None]
     pts = (1.0 - s) * a + s * (1.0 - t) * b + s * t * c
-    return ObjectAsset(pts, source_id=source_id, up_axis=up_axis)
+    return ObjectAsset(pts, source_id=source_id)
 
 
 def load_asset(path, count: int = 2048, rng=None) -> ObjectAsset:
-    """Load one asset file, sampling OBJ meshes to `count` surface points.
+    """Load one asset file, +z-up, sampling OBJ meshes to `count` surface
+    points.
 
-    OBJ assets follow the ShapeNet +y-up convention; point-list assets are
-    +z-up. An asset that cannot be parsed or built raises FormatError.
+    OBJ assets follow the ShapeNet +y-up convention, so their samples are
+    rotated onto +z; point-list assets are +z-up already. An asset that
+    cannot be parsed or built raises FormatError.
     """
     path = Path(path)
     is_mesh = path.suffix.lower() == ".obj"
@@ -242,8 +237,8 @@ def load_asset(path, count: int = 2048, rng=None) -> ObjectAsset:
         raise ValueError("rng is required to sample an OBJ mesh")
     try:
         if is_mesh:
-            return sample_mesh_surface(read_obj(path), count, rng,
-                                       source_id=path.stem, up_axis="+y")
+            sampled = sample_mesh_surface(read_obj(path), count, rng).points
+            return ObjectAsset(sampled @ _Y_UP_TO_Z_UP.T, source_id=path.stem)
         return read_xyz(path)
     except FormatError:
         raise

@@ -1,10 +1,12 @@
 """Training objectives with hand-derived analytic gradients.
 
 Everything here operates on one scene of n points with c inlier classes.
-The head produces inlier logits (n, c) and one outlier logit per point; the
-(c+1)-way softmax over their concatenation yields inlier probabilities p^y
-and the outlier probability p^o. One logsumexp pass over the inlier logits
-gives every quantity the losses share:
+The head's logits are one (n, c+1) array, c inlier columns yhat and then
+the outlier logit ohat (``HeadOutput``), and every loss gradient is one
+array of the same layout (``LossResult.grad``). The (c+1)-way softmax over
+a row yields inlier probabilities p^y and the outlier probability p^o. One
+logsumexp pass over the inlier logits gives every quantity the losses
+share:
 
     alpha_i = -log sum_j exp(yhat_ij)       (the point-wise penalty)
     s_ij    = exp(yhat_ij + alpha_i)        (the inlier softmax)
@@ -26,7 +28,10 @@ Hinge and payoff subgradients at a kink are 0.
 ``total_loss`` is the one home of the trainer's loss modes (``LOSS_MODES``):
 the abstain term, weighted by ``LossConfig.weight_abstain``, plus the
 static or the dynamic penalty at weight 1, or the calibration-CE baseline
-(``cce_loss``) with its calibration term at weight 1 or 0.
+(``cce_loss``) with its calibration term at weight 1 or 0. The abstain
+family has one path, ``_objective``: ``abstain_loss``, ``penalty_loss``,
+``dynamic_penalty_loss`` and both abstain modes of ``total_loss`` each
+call it with their own term weights.
 
 Batching over scenes is the trainer's job (mean of per-scene means), so the
 values here are plain means over the scene's points.
@@ -47,36 +52,36 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass
 class HeadOutput:
-    """Per-point inlier logits (n, c) and outlier logit (n,)."""
+    """The head's per-point logits (n, c+1): c inlier columns yhat, then the
+    outlier logit ohat."""
 
-    inlier_logits: np.ndarray
-    outlier_logit: np.ndarray
+    logits: np.ndarray
 
     def __post_init__(self):
-        self.inlier_logits = np.asarray(self.inlier_logits, dtype=np.float64)
-        self.outlier_logit = np.asarray(self.outlier_logit, dtype=np.float64)
-        if self.inlier_logits.ndim != 2:
-            raise ValueError("inlier_logits must be (n, c)")
-        n, c = self.inlier_logits.shape
-        if n < 1 or c < 1:
+        self.logits = np.asarray(self.logits, dtype=np.float64)
+        if self.logits.ndim != 2:
+            raise ValueError("logits must be (n, c+1)")
+        n, width = self.logits.shape
+        if n < 1 or width < 2:
             raise ValueError("need n >= 1 points and c >= 1 classes")
-        if self.outlier_logit.shape != (n,):
-            raise ValueError("outlier_logit must be (n,)")
-        if not (np.all(np.isfinite(self.inlier_logits))
-                and np.all(np.isfinite(self.outlier_logit))):
+        if not np.all(np.isfinite(self.logits)):
             raise ValueError("logits must be finite")
 
     @property
+    def inlier_logits(self) -> np.ndarray:
+        return self.logits[:, :-1]
+
+    @property
+    def outlier_logit(self) -> np.ndarray:
+        return self.logits[:, -1]
+
+    @property
     def num_points(self) -> int:
-        return self.inlier_logits.shape[0]
+        return self.logits.shape[0]
 
     @property
     def num_classes(self) -> int:
-        return self.inlier_logits.shape[1]
-
-    def logits(self) -> np.ndarray:
-        """Concatenated (n, c+1) logits [yhat, ohat]."""
-        return np.concatenate([self.inlier_logits, self.outlier_logit[:, None]], axis=1)
+        return self.logits.shape[1] - 1
 
 
 @dataclass
@@ -191,13 +196,20 @@ class LossConfig:
 
 @dataclass
 class LossResult:
+    """A loss value, its (n, c+1) gradient wrt ``HeadOutput.logits`` and,
+    for the dynamic penalty, its gradient wrt beta."""
+
     value: float
-    grad_inlier: np.ndarray
-    grad_outlier: np.ndarray
+    grad: np.ndarray
     grad_beta: np.ndarray | None = None
 
-    def grad_logits(self) -> np.ndarray:
-        return np.concatenate([self.grad_inlier, self.grad_outlier[:, None]], axis=1)
+    @property
+    def grad_inlier(self) -> np.ndarray:
+        return self.grad[:, :-1]
+
+    @property
+    def grad_outlier(self) -> np.ndarray:
+        return self.grad[:, -1]
 
 
 def softmax_head(head: HeadOutput) -> HeadStats:
@@ -211,13 +223,6 @@ def compute_alpha(inlier_logits: np.ndarray) -> np.ndarray:
     """alpha_i = -logsumexp of the i-th row of the inlier logits."""
     m, _, total = _logsumexp_parts(np.asarray(inlier_logits, dtype=np.float64))
     return -(m + np.log(total))
-
-
-def _check_beta(beta) -> np.ndarray:
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (3,):
-        raise ValueError("beta must have shape (3,)")
-    return beta
 
 
 def _check_labels(labels, space: LabelSpace, n: int) -> np.ndarray:
@@ -241,7 +246,7 @@ def _abstain_payoff(alpha):
     return payoff, d_reward
 
 
-def _abstain(st: HeadStats, labels, inlier_mask):
+def _abstain(st: HeadStats, labels):
     """Per-point abstain values and their (n, c+1) gradient, unscaled."""
     n, c = st.s.shape
     payoff, d_reward = _abstain_payoff(st.alpha)
@@ -265,7 +270,7 @@ def _abstain(st: HeadStats, labels, inlier_mask):
     grad[rows, cols] -= w * p_true
     grad[:, c] = -w * p_o * (reward * q - p_true)
 
-    out = np.flatnonzero(~inlier_mask)
+    out = np.flatnonzero(labels > c)
     if out.size:
         p_out = p[out]
         t = p_out + abstain[out, None]
@@ -279,10 +284,63 @@ def _abstain(st: HeadStats, labels, inlier_mask):
     return values, grad
 
 
-def _result(values, grad, c, grad_beta=None) -> LossResult:
-    n = len(values)
-    grad = grad / n
-    return LossResult(float(values.mean()), grad[:, :c], grad[:, c], grad_beta)
+def _penalty(st: HeadStats, labels, space: LabelSpace, beta):
+    """Hinges of alpha against per-type thresholds: inliers pay alpha - t_in
+    above t_in, resized and asset outliers t_k - alpha below t_k.
+
+    With ``beta`` None this is the static penalty, thresholds
+    (m_in, m_out, m_out); otherwise the dynamic one, thresholds
+    beta * (m_in, m_rout, m_sout), with its prior (``dynamic_penalty_loss``).
+    Returns the per-point values, the (n, c) gradient wrt the inlier logits,
+    the prior and the gradient wrt beta (None when static), all unscaled.
+    """
+    m_in, m_out, m_rout, m_sout = margins(space.num_classes)
+    inlier = labels <= space.num_classes
+    types = np.where(inlier, 0, np.where(labels == space.resized_outlier, 1, 2))
+    sign = np.where(inlier, 1.0, -1.0)
+    m = np.array([m_in, m_out, m_out] if beta is None else [m_in, m_rout, m_sout])
+    excess = sign * (st.alpha - (m if beta is None else beta * m)[types])
+    active = excess > 0.0
+    values = np.where(active, excess, 0.0)
+    # d(alpha)/d(yhat_j) = -s_j
+    grad = -(sign * active)[:, None] * st.s
+    if beta is None:
+        return values, grad, 0.0, None
+    # the hinge's beta gradient: d(t_in - alpha)/d(beta_in) = m_in for
+    # inliers, d(alpha - t_k)/d(beta_k) = -m_k for outliers
+    grad_beta = np.array([-1.0, 1.0, 1.0]) * m * np.bincount(types[active], minlength=3)
+    # quadratic prior (lambda / 2) sum_k n_k |m_k| (beta_k - 1)^2
+    weight = BETA_PRIOR * np.bincount(types, minlength=3) * np.abs(m)
+    prior = 0.5 * float(np.sum(weight * (beta - 1.0) ** 2))
+    return values, grad, prior, grad_beta + weight * (beta - 1.0)
+
+
+def _objective(head: HeadOutput, labels, space: LabelSpace, weight_abstain, penalty: bool,
+               beta=None) -> LossResult:
+    """The one path of the abstain-family objectives: the mean over the
+    scene's points of weight_abstain * abstain (left out when
+    ``weight_abstain`` is None) plus, with ``penalty``, the static penalty
+    (``beta`` None) or the dynamic one, whose prior is added divided by n.
+    """
+    n, c = head.num_points, head.num_classes
+    labels = _check_labels(labels, space, n)
+    beta = None if beta is None else np.asarray(beta, dtype=np.float64)
+    if beta is not None and beta.shape != (3,):
+        raise ValueError("beta must have shape (3,)")
+    st = head_stats(head)
+    if weight_abstain is None:
+        values, grad = np.zeros(n), np.zeros((n, c + 1))
+    else:
+        values, grad = _abstain(st, labels)
+        values *= weight_abstain
+        grad *= weight_abstain
+    prior, grad_beta = 0.0, None
+    if penalty:
+        pen, pen_grad, prior, grad_beta = _penalty(st, labels, space, beta)
+        values += pen
+        grad[:, :c] += pen_grad
+    return LossResult(float(values.mean()) + prior / n, grad / n,
+                      None if grad_beta is None else grad_beta / n)
 
 
 def abstain_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
@@ -294,57 +352,13 @@ def abstain_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
     are floored at the smallest positive double so the value stays finite
     for any finite logits, with the gradient gated off at the floor.
     """
-    labels = _check_labels(labels, space, head.num_points)
-    values, grad = _abstain(head_stats(head), labels, labels <= space.num_classes)
-    return _result(values, grad, head.num_classes)
-
-
-def _hinge(st: HeadStats, labels, space: LabelSpace, thresholds):
-    """Hinges of alpha against per-type thresholds (t_in, t_resized,
-    t_synth): inliers pay alpha - t_in above it, outliers t - alpha below.
-
-    Returns the per-point values, the (n, c) gradient wrt the inlier logits
-    and the number of active points of each type, all unscaled.
-    """
-    inlier = labels <= space.num_classes
-    types = np.where(inlier, 0, np.where(labels == space.resized_outlier, 1, 2))
-    sign = np.where(inlier, 1.0, -1.0)
-    excess = sign * (st.alpha - np.asarray(thresholds)[types])
-    active = excess > 0.0
-    values = np.where(active, excess, 0.0)
-    # d(alpha)/d(yhat_j) = -s_j
-    grad = -(sign * active)[:, None] * st.s
-    counts = np.bincount(types[active], minlength=3)
-    return values, grad, counts, np.bincount(types, minlength=3)
-
-
-def _static_penalty(st, labels, space):
-    m_in, m_out, _, _ = margins(space.num_classes)
-    return _hinge(st, labels, space, (m_in, m_out, m_out))[:2]
+    return _objective(head, labels, space, 1.0, False)
 
 
 def penalty_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
     """Static point-wise penalty: hinge alpha below m_in for inliers,
     above m_out for outliers (both outlier labels)."""
-    labels = _check_labels(labels, space, head.num_points)
-    values, grad_y = _static_penalty(head_stats(head), labels, space)
-    n = head.num_points
-    return LossResult(float(values.mean()), grad_y / n, np.zeros(n))
-
-
-def _dynamic_penalty(st, labels, space, beta):
-    m_in, _, m_rout, m_sout = margins(space.num_classes)
-    m = np.array([m_in, m_rout, m_sout])
-    values, grad_y, active, counts = _hinge(st, labels, space, beta * m)
-    # the hinge's beta gradient: d(t_in - alpha)/d(beta_in) = m_in for
-    # inliers, d(alpha - t_k)/d(beta_k) = -m_k for outliers
-    sign = np.array([-1.0, 1.0, 1.0])
-    grad_beta = sign * m * active
-    # quadratic prior (lambda / 2) sum_k n_k |m_k| (beta_k - 1)^2
-    weight = BETA_PRIOR * counts * np.abs(m)
-    prior = 0.5 * float(np.sum(weight * (beta - 1.0) ** 2))
-    grad_beta = grad_beta + weight * (beta - 1.0)
-    return values, grad_y, prior, grad_beta
+    return _objective(head, labels, space, None, True)
 
 
 def dynamic_penalty_loss(head: HeadOutput, labels, space: LabelSpace, beta) -> LossResult:
@@ -362,12 +376,9 @@ def dynamic_penalty_loss(head: HeadOutput, labels, space: LabelSpace, beta) -> L
     its points fail it. ``grad_beta`` holds the derivatives with respect
     to the three weights.
     """
-    n = head.num_points
-    labels = _check_labels(labels, space, n)
-    values, grad_y, prior, grad_beta = _dynamic_penalty(
-        head_stats(head), labels, space, _check_beta(beta))
-    return LossResult(float(values.mean()) + prior / n, grad_y / n, np.zeros(n),
-                      grad_beta / n)
+    if beta is None:
+        raise ValueError("beta must have shape (3,)")
+    return _objective(head, labels, space, None, True, beta)
 
 
 def total_loss(
@@ -391,29 +402,11 @@ def total_loss(
         return cce_loss(head, labels, space, 1.0)
     if mode == "ce":
         return cce_loss(head, labels, space, 0.0)
-    n, c = head.num_points, head.num_classes
-    labels = _check_labels(labels, space, n)
-    dynamic = mode == "abstain+dynamic"
-    if dynamic:
-        if beta is None:
-            raise ValueError("abstain+dynamic mode requires beta")
-        beta = _check_beta(beta)
-    st = head_stats(head)
-    values, grad = _abstain(st, labels, labels <= space.num_classes)
-    w_ab = cfg.weight_abstain
-    values *= w_ab
-    grad *= w_ab
-    if dynamic:
-        pen, pen_grad, prior, grad_beta = _dynamic_penalty(st, labels, space, beta)
-        grad_beta = grad_beta / n
-    else:
-        pen, pen_grad = _static_penalty(st, labels, space)
-        prior, grad_beta = 0.0, None
-    values += pen
-    grad[:, :c] += pen_grad
-    res = _result(values, grad, c, grad_beta)
-    res.value += prior / n
-    return res
+    if mode == "abstain+static":
+        beta = None
+    elif beta is None:
+        raise ValueError("abstain+dynamic mode requires beta")
+    return _objective(head, labels, space, cfg.weight_abstain, True, beta)
 
 
 def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.0) -> LossResult:
@@ -429,7 +422,7 @@ def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.
     merged = np.minimum(labels, space.num_classes + 1)
     cols = merged - 1
 
-    z = head.logits()
+    z = head.logits
     z_max, e, denom = _logsumexp_parts(z)
     lse = np.log(denom) + z_max
 
@@ -457,48 +450,37 @@ def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.
 
     value = float((ce + weight_cce * cce).mean())
     grad /= n
-    return LossResult(value=value, grad_inlier=grad[:, :c], grad_outlier=grad[:, c])
+    return LossResult(value, grad)
 
 
 def finite_difference_grads(value_fn, head: HeadOutput, beta=None, step: float = 1e-5,
                             probes: int | None = None, rng=None):
-    """Central-difference gradients of ``value_fn(head, beta)``.
+    """Central-difference gradients of ``value_fn(head, beta)``: an (n, c+1)
+    array over the logits and, when beta is given, one over beta.
 
     The oracle side of every gradient check: it consumes loss *values*
-    only, never analytic gradients. With ``probes`` set, only that many
-    seeded-random logit entries are probed (NaN marks unprobed entries);
-    beta entries are always probed when beta is given.
+    only, never analytic gradients. With ``probes`` set, that many
+    seeded-random inlier entries and then that many outlier entries are
+    probed (NaN marks unprobed entries); beta entries are always probed
+    when beta is given.
     """
-    y0 = head.inlier_logits
-    o0 = head.outlier_logit
-
-    def value(y, o, b):
-        return value_fn(HeadOutput(y, o), b)
-
-    n, c = y0.shape
+    z0 = head.logits
+    n, c = head.num_points, head.num_classes
     if probes is None:
-        y_idx = [(i, j) for i in range(n) for j in range(c)]
-        o_idx = list(range(n))
+        idx = list(np.ndindex(n, c + 1))
         fill = 0.0
     else:
         gen = np.random.default_rng(0) if rng is None else rng
         flat = gen.choice(n * c, size=min(probes, n * c), replace=False)
-        y_idx = [(int(k) // c, int(k) % c) for k in flat]
-        o_idx = [int(v) for v in
-                 gen.choice(n, size=min(probes, n), replace=False)]
+        rows = gen.choice(n, size=min(probes, n), replace=False)
+        idx = [(int(k) // c, int(k) % c) for k in flat] + [(int(i), c) for i in rows]
         fill = np.nan
 
-    fd_y = np.full_like(y0, fill)
-    for i, j in y_idx:
-        hi = y0.copy(); hi[i, j] += step
-        lo = y0.copy(); lo[i, j] -= step
-        fd_y[i, j] = (value(hi, o0, beta) - value(lo, o0, beta)) / (2 * step)
-
-    fd_o = np.full_like(o0, fill)
-    for i in o_idx:
-        hi = o0.copy(); hi[i] += step
-        lo = o0.copy(); lo[i] -= step
-        fd_o[i] = (value(y0, hi, beta) - value(y0, lo, beta)) / (2 * step)
+    fd = np.full_like(z0, fill)
+    for i, j in idx:
+        hi = z0.copy(); hi[i, j] += step
+        lo = z0.copy(); lo[i, j] -= step
+        fd[i, j] = (value_fn(HeadOutput(hi), beta) - value_fn(HeadOutput(lo), beta)) / (2 * step)
 
     fd_b = None
     if beta is not None:
@@ -507,14 +489,14 @@ def finite_difference_grads(value_fn, head: HeadOutput, beta=None, step: float =
         for i in range(beta.size):
             hi = beta.copy(); hi[i] += step
             lo = beta.copy(); lo[i] -= step
-            fd_b[i] = (value(y0, o0, hi) - value(y0, o0, lo)) / (2 * step)
-    return fd_y, fd_o, fd_b
+            fd_b[i] = (value_fn(head, hi) - value_fn(head, lo)) / (2 * step)
+    return fd, fd_b
 
 
 def max_relative_error(result: LossResult, fd_grads) -> float:
     """max |analytic - fd| / max(1, |analytic|) over every probed entry."""
-    fd_y, fd_o, fd_b = fd_grads
-    blocks = [(result.grad_inlier, fd_y), (result.grad_outlier, fd_o)]
+    fd, fd_b = fd_grads
+    blocks = [(result.grad, fd)]
     if fd_b is not None:
         if result.grad_beta is None:
             raise ValueError("loss produced no beta gradient to compare")
@@ -536,10 +518,10 @@ def random_instance(space: LabelSpace, stream: RngStream, max_points: int = 64,
     gen = stream.generator()
     n = int(gen.integers(2, max_points + 1))
     c = space.num_classes
-    head = HeadOutput(
+    head = HeadOutput(np.column_stack([
         gen.normal(0.0, sigma, size=(n, c)),
         gen.normal(0.0, sigma, size=n),
-    )
+    ]))
     labels = gen.integers(1, space.max_label + 1, size=n)
     beta = gen.uniform(0.5, 1.5, size=3)
     return head, labels, beta

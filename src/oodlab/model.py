@@ -37,11 +37,12 @@ CHECKPOINT_VERSION = 1
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit a non-finite loss; names the last epoch that finished."""
+    """Training hit a non-finite loss or parameters; names the last epoch
+    that finished."""
 
     def __init__(self, epoch: int, last_good_epoch: int | None):
         super().__init__(
-            f"non-finite loss in epoch {epoch}"
+            f"non-finite loss or parameters in epoch {epoch}"
             + (f" (last good epoch: {last_good_epoch})" if last_good_epoch is not None else "")
         )
 
@@ -169,10 +170,7 @@ def forward(features: np.ndarray, params: MlpParams) -> HeadOutput:
             f"features shape {features.shape} incompatible with input dim "
             f"{params.weights[0].shape[0]}"
         )
-    logits, _ = _forward_cache(features, params)
-    if logits.shape[1] < 2:
-        raise ValueError("output layer must have at least 2 units (c >= 1 plus outlier)")
-    return HeadOutput(logits[:, :-1], logits[:, -1])
+    return HeadOutput(_forward_cache(features, params)[0])
 
 
 def backward(params: MlpParams, acts: list[np.ndarray], grad_logits: np.ndarray,
@@ -264,7 +262,8 @@ def train(
 
     Raises ValueError on a label outside ``space`` or, in a loss mode other
     than plain "ce", on a dataset without outlier-labelled points; raises
-    TrainingDiverged on a non-finite loss.
+    TrainingDiverged on a non-finite loss, or on non-finite parameters or
+    beta after an epoch's last step.
     """
     if not scenes:
         raise ValueError("need at least one training scene")
@@ -305,11 +304,11 @@ def train(
             for i in batch:
                 logits, acts = _forward_cache(feats[i], params, act_bufs)
                 try:  # the shapes are right by construction: only NaN/inf fail
-                    head = HeadOutput(logits[:, :-1], logits[:, -1])
+                    head = HeadOutput(logits)
                 except ValueError:
                     raise TrainingDiverged(epoch, last_good) from None
                 res = total_loss(head, labels[i], space, loss_cfg, mode, beta)
-                gw, gb = backward(params, acts, res.grad_logits(), delta_bufs)
+                gw, gb = backward(params, acts, res.grad, delta_bufs)
                 for k in range(len(acc_w)):
                     acc_w[k] += gw[k]
                     acc_b[k] += gb[k]
@@ -328,6 +327,8 @@ def train(
                 if loss_cfg.clamp_beta:
                     beta = np.maximum(beta, 0.0)
             epoch_values.append(batch_value)
+        if not all(np.isfinite(a).all() for a in (*params.weights, *params.biases, beta)):
+            raise TrainingDiverged(epoch, last_good)
         log.epoch_losses.append(float(np.mean(epoch_values)))
         log.beta_history.append(beta.copy())
         last_good = epoch

@@ -1,9 +1,10 @@
 """Outlier injection.
 
-The asset-based pipeline runs, in order: rotate the asset upright, move it
-radially and rotate it around the sensor, gate on xy overlap, resize,
-snap to the ground, then merge it into the sweep by replacing scene-point
-radii inside a small angular window. Radius replacement keeps every scene
+Assets arrive upright: ``io.load_asset`` turns every asset +z-up at load
+time. The asset-based pipeline then runs, in order: move the asset
+radially and rotate it around the sensor, gate on xy overlap, resize, snap
+to the ground, then merge it into the sweep by replacing scene-point radii
+inside a small angular window. Radius replacement keeps every scene
 point's (lon, lat) untouched, so the sensor's sampling pattern is preserved
 exactly — the property the resizing baseline (also provided here) violates.
 """
@@ -88,26 +89,6 @@ class MergeReport:
         self.new_radii = np.asarray(self.new_radii, dtype=np.float64)
         if len(np.unique(self.indices)) != len(self.indices):
             raise ValueError("merge report indices must be unique")
-
-
-_UPRIGHT = {
-    "+z": np.eye(3),
-    "-z": np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
-    "+y": np.array([[1.0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
-    "-y": np.array([[1.0, 0, 0], [0, 0, 1.0], [0, -1.0, 0]]),
-    "+x": np.array([[0, 0, -1.0], [0, 1.0, 0], [1.0, 0, 0]]),
-    "-x": np.array([[0, 0, 1.0], [0, 1.0, 0], [-1.0, 0, 0]]),
-}
-
-
-def rotate_upright(asset: ObjectAsset) -> ObjectAsset:
-    """Rotate the asset so its canonical up-axis lies along scene +z.
-
-    A rigid rotation (no-op for +z assets), hence idempotent and
-    distance-preserving.
-    """
-    rot = _UPRIGHT[asset.up_axis]
-    return ObjectAsset(asset.points @ rot.T, source_id=asset.source_id, up_axis="+z")
 
 
 def place_object(points: np.ndarray, scene: Scene, cfg: SynthesisConfig, rng) -> np.ndarray:
@@ -252,8 +233,8 @@ def synthesize_scene(
     rng,
 ) -> tuple[Scene, list[MergeReport]]:
     """Full asset pipeline: draw G ~ Binomial objects with replacement from
-    the pool and push each through rotate / move+rotate / overlap gate /
-    resize / ground snap / spherical merge.
+    the pool and push each through move+rotate / overlap gate / resize /
+    ground snap / spherical merge.
 
     Objects failing the overlap gate or the ground snap contribute nothing.
     Merges apply sequentially, so later objects see earlier ones.
@@ -266,8 +247,7 @@ def synthesize_scene(
     reports: list[MergeReport] = []
     for g in range(count):
         asset = assets[int(gen.integers(len(assets)))]
-        pts = rotate_upright(asset).points
-        pts = place_object(pts, out, cfg, gen)
+        pts = place_object(asset.points, out, cfg, gen)
         if not check_overlap(pts, out, cfg.overlap_delta):
             continue
         k = sample_uniform(gen, *cfg.scale_range)

@@ -3,6 +3,7 @@ import pytest
 
 from oodlab.core import LabelSpace, RngStream, Scene
 from oodlab.io import ObjectAsset, ScanConfig, generate_scan
+from oodlab.losses import HeadOutput
 
 
 class ScriptedRng:
@@ -24,6 +25,12 @@ class ScriptedRng:
     def integers(self, lo, hi=None, size=None):
         v = self._integers.pop(0)
         return np.full(size, v) if size is not None else v
+
+
+def head_of(inlier_logits, outlier_logit):
+    """A HeadOutput from inlier logits (n, c) and outlier logits (n,),
+    joined into the head's (n, c+1) array."""
+    return HeadOutput(np.column_stack([inlier_logits, outlier_logit]))
 
 
 def grid_scene(extent=20.0, step=1.0, z=0.0, label=1):

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,7 +410,7 @@ class TestGradcheck:
 
         def flipped(*args, **kwargs):
             res = real(*args, **kwargs)
-            res.grad_inlier = res.grad_inlier + 0.5
+            res.grad[:, :-1] += 0.5
             return res
 
         monkeypatch.setattr(losses_mod, "penalty_loss", flipped)
@@ -518,3 +519,45 @@ class TestMalformedInput:
                           "trailing": data + b"\0"}[corrupt])
         cfg = TestEval().eval_config(tmp_path, scenes_dir, ckpt)
         self.expect(capsys, ["eval", "--config", cfg], EXIT_DATA, named)
+
+    def test_train_overflowing_last_step(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # one scene, one epoch: no forward pass follows the only update
+        (tmp_path / "train_scenes").mkdir()
+        pts = np.zeros((40, 3))
+        pts[20:, 2] = 1000.0
+        write_scene(Scene(points=pts, labels=np.repeat([2, 1], 20)),
+                    tmp_path / "train_scenes/000000.bin", tmp_path / "train_scenes/000000.label")
+        cfg = write_config(tmp_path / "t.json", num_classes=2, train_dir="train_scenes",
+                           features={"features": ["z"]},
+                           train={"loss_mode": "ce", "epochs": 1, "learning_rate": 1e308})
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.expect(capsys, ["train", "--config", cfg], EXIT_NUMERIC,
+                        "train_scenes: non-finite loss or parameters in epoch 0")
+        assert not (tmp_path / "out/model.ckpt").exists()
+
+    @pytest.mark.parametrize("section, named", [
+        ({"features": {"features": ["x", "z"]}}, "input/output sizes 1/3, but the config's "
+                                                 "features and num_classes need 2/3"),
+        ({"num_classes": 3}, "input/output sizes 1/3, but the config's "
+                             "features and num_classes need 1/4"),
+    ], ids=["features", "num_classes"])
+    def test_eval_checkpoint_contradicts_config(self, tmp_path, monkeypatch, capsys,
+                                                section, named):
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, ckpt = make_perfect_fixture(tmp_path)
+        data = json.loads(Path(TestEval().eval_config(tmp_path, scenes_dir, ckpt)).read_text())
+        cfg = write_config(tmp_path / "e.json", **{**data, **section})
+        self.expect(capsys, ["eval", "--config", cfg], EXIT_CONFIG, f"perfect.ckpt: {named}")
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_label_outside_space(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, ckpt = make_perfect_fixture(tmp_path)
+        labels = bytearray((scenes_dir / "000001.label").read_bytes())
+        labels[0:4] = struct.pack("<I", 9)
+        (scenes_dir / "000001.label").write_bytes(bytes(labels))
+        cfg = TestEval().eval_config(tmp_path, scenes_dir, ckpt)
+        self.expect(capsys, ["eval", "--config", cfg], EXIT_CONFIG,
+                    "eval_scenes/000001.label: labels outside 1..4: [9]")
+        assert not (tmp_path / "out/summary.csv").exists()

@@ -201,12 +201,31 @@ class TestAssets:
         )
         a = load_asset(tmp_path / "a.xyz")
         b = load_asset(tmp_path / "b.obj", count=50, rng=RngStream(0, 0))
-        assert a.up_axis == "+z"
-        assert b.up_axis == "+y"  # ShapeNet convention for meshes
+        assert a.points.shape == (11, 3)
         assert b.points.shape == (50, 3)
         both = load_asset_dir(tmp_path, count=50, rng=RngStream(0, 0))
         assert [x.source_id for x in both] == ["a", "b"]
 
+
+    def test_obj_mesh_loads_z_up(self, tmp_path):
+        # meshes are +y-up (ShapeNet); a loaded asset is +z-up: the sampled
+        # points turn rigidly, the former y coordinate becoming z
+        path = tmp_path / "tall.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 5 0\nv 0 0 1\nf 1 2 3\nf 1 3 4\nf 1 4 2\n")
+        raw = sample_mesh_surface(read_obj(path), 200, RngStream(0, 0)).points
+        pts = load_asset(path, count=200, rng=RngStream(0, 0)).points
+        assert np.argmax(np.ptp(raw, axis=0)) == 1 and np.argmax(np.ptp(pts, axis=0)) == 2
+        assert np.array_equal(pts[:, 2], raw[:, 1])
+
+        def dist(p):
+            return np.linalg.norm(p[:, None] - p[None], axis=-1)
+
+        assert np.max(np.abs(dist(pts) - dist(raw))) < 1e-9
+
+    def test_xyz_asset_loads_unchanged(self, tmp_path):
+        pts = RngStream(1, 0).generator().normal(size=(20, 3))
+        (tmp_path / "p.xyz").write_text("\n".join(" ".join(map(repr, p)) for p in pts.tolist()))
+        assert np.array_equal(load_asset(tmp_path / "p.xyz").points, pts)
 
     UNUSABLE = {
         "few.xyz": "\n".join(f"{i} 0 0" for i in range(5)),

@@ -22,6 +22,8 @@ from oodlab.losses import (
     total_loss,
 )
 
+from conftest import head_of
+
 SPACE4 = LabelSpace(4)
 CFG = LossConfig()
 # the penalty hand cases use c = 1
@@ -32,26 +34,36 @@ def head_from_alpha(alphas, outlier_logits=None):
     """c=1 trick: alpha = -yhat, so the alphas are directly controllable."""
     alphas = np.asarray(alphas, dtype=np.float64)
     o = np.zeros(len(alphas)) if outlier_logits is None else np.asarray(outlier_logits)
-    return HeadOutput((-alphas)[:, None], o)
+    return head_of((-alphas)[:, None], o)
 
 
 class TestHeadOutput:
-    def test_column_outlier_logit_rejected(self):
-        # the outlier logit is one value per point, (n,); an (n, 1) column
-        # is a shape error, not something to reshape silently
-        with pytest.raises(ValueError, match=r"outlier_logit must be \(n,\)"):
-            HeadOutput(np.zeros((3, 2)), np.zeros((3, 1)))
+    def test_flat_and_outlier_only_logits_rejected(self):
+        # the logits are one (n, c+1) array with c >= 1: neither a flat
+        # vector nor a lone outlier column (c = 0) is a head
+        with pytest.raises(ValueError, match=r"logits must be \(n, c\+1\)"):
+            HeadOutput(np.zeros(3))
+        with pytest.raises(ValueError, match="c >= 1"):
+            HeadOutput(np.zeros((3, 1)))
+
+    def test_columns_are_views_of_the_logits(self):
+        head = HeadOutput(np.arange(6.0).reshape(2, 3))
+        assert head.num_classes == 2
+        assert np.shares_memory(head.inlier_logits, head.logits)
+        assert np.array_equal(head.outlier_logit, [2.0, 5.0])
+        with pytest.raises(AttributeError):
+            head.outlier_logit = np.zeros(2)
 
 
 class TestSoftmaxHead:
     def test_uniform(self):
-        head = HeadOutput(np.zeros((2, 3)), np.zeros(2))
+        head = head_of(np.zeros((2, 3)), np.zeros(2))
         probs = softmax_head(head)
         assert np.allclose(probs.p_inlier, 0.25)
         assert np.allclose(probs.p_o, 0.25)
 
     def test_hand_case(self):
-        head = HeadOutput(np.array([[math.log(2.0), 0.0]]), np.array([0.0]))
+        head = head_of(np.array([[math.log(2.0), 0.0]]), np.array([0.0]))
         probs = softmax_head(head)
         assert np.allclose(probs.p_inlier, [[0.5, 0.25]], atol=1e-15)
         assert np.allclose(probs.p_o, [0.25], atol=1e-15)
@@ -60,14 +72,14 @@ class TestSoftmaxHead:
         gen = RngStream(0, 0).generator()
         y = gen.normal(size=(10, 4))
         o = gen.normal(size=10)
-        a = softmax_head(HeadOutput(y, o))
-        b = softmax_head(HeadOutput(y + 1000.0, o + 1000.0))
+        a = softmax_head(head_of(y, o))
+        b = softmax_head(head_of(y + 1000.0, o + 1000.0))
         assert np.max(np.abs(a.p_inlier - b.p_inlier)) < 1e-12
         assert np.max(np.abs(a.p_o - b.p_o)) < 1e-12
 
     def test_rows_sum_to_one(self):
         gen = RngStream(1, 0).generator()
-        probs = softmax_head(HeadOutput(gen.normal(size=(50, 4)) * 5, gen.normal(size=50)))
+        probs = softmax_head(head_of(gen.normal(size=(50, 4)) * 5, gen.normal(size=50)))
         assert np.max(np.abs(probs.p_inlier.sum(axis=1) + probs.p_o - 1.0)) < 1e-9
         assert np.all(probs.p_inlier > 0) and np.all(probs.p_o > 0)
 
@@ -95,7 +107,7 @@ class TestComputeAlpha:
 class TestAbstainLoss:
     def test_hand_single_inlier(self):
         space = LabelSpace(1)
-        head = HeadOutput(np.array([[-2.0]]), np.array([0.0]))
+        head = head_of(np.array([[-2.0]]), np.array([0.0]))
         res = abstain_loss(head, [1], space)
         p_o = 1.0 / (1.0 + math.exp(-2.0))
         p_y = math.exp(-2.0) / (1.0 + math.exp(-2.0))
@@ -106,7 +118,7 @@ class TestAbstainLoss:
     def test_vanishing_outlier_prob_reduces_to_ce(self):
         space = LabelSpace(3)
         y = np.array([[2.0, -1.0, 0.5]])
-        head = HeadOutput(y, np.array([-40.0]))
+        head = head_of(y, np.array([-40.0]))
         res = abstain_loss(head, [1], space)
         z = np.concatenate([y[0], [-40.0]])
         ce = -(z[0] - math.log(np.exp(z).sum()))
@@ -114,7 +126,7 @@ class TestAbstainLoss:
 
     def test_outlier_branch_sums_not_averages(self):
         space = LabelSpace(2)
-        head = HeadOutput(np.array([[0.0, 0.0]]), np.array([0.0]))
+        head = head_of(np.array([[0.0, 0.0]]), np.array([0.0]))
         res = abstain_loss(head, [space.resized_outlier], space)
         # p = (1/3, 1/3, 1/3); alpha = -log 2, so alpha^2 < 1 and the payoff
         # is floored at 1: abstain term = (1/3) / max(1, log(2)^2) = 1/3
@@ -125,7 +137,7 @@ class TestAbstainLoss:
     def test_both_outlier_labels_use_outlier_branch(self):
         space = LabelSpace(2)
         gen = RngStream(3, 0).generator()
-        head = HeadOutput(gen.normal(size=(4, 2)), gen.normal(size=4))
+        head = head_of(gen.normal(size=(4, 2)), gen.normal(size=4))
         r1 = abstain_loss(head, [3, 3, 3, 3], space)
         r2 = abstain_loss(head, [4, 4, 4, 4], space)
         assert r1.value == r2.value
@@ -136,8 +148,8 @@ class TestAbstainLoss:
         y = gen.normal(size=(6, 3))
         o = gen.normal(size=6)
         labels = [space.synthetic_outlier] * 6
-        base = abstain_loss(HeadOutput(y, o), labels, space).value
-        bumped = abstain_loss(HeadOutput(y, o + 0.1), labels, space).value
+        base = abstain_loss(head_of(y, o), labels, space).value
+        bumped = abstain_loss(head_of(y, o + 0.1), labels, space).value
         assert bumped < base
 
     def test_gradients_match_finite_differences(self):
@@ -152,7 +164,7 @@ class TestAbstainLoss:
 
     def test_finite_for_extreme_logits(self):
         space = LabelSpace(2)
-        head = HeadOutput(np.array([[800.0, -800.0], [-700.0, -720.0]]),
+        head = head_of(np.array([[800.0, -800.0], [-700.0, -720.0]]),
                           np.array([-500.0, 600.0]))
         res = abstain_loss(head, [1, 3], space)
         assert np.isfinite(res.value)
@@ -168,7 +180,7 @@ class TestAbstainLoss:
             assert abstain_loss(head, labels, space).value >= 0.0
 
     def test_invalid_label_rejected(self):
-        head = HeadOutput(np.zeros((1, 4)), np.zeros(1))
+        head = head_of(np.zeros((1, 4)), np.zeros(1))
         with pytest.raises(ValueError):
             abstain_loss(head, [7], SPACE4)
 
@@ -184,7 +196,7 @@ class TestAbstainLoss:
         labels = gen.integers(1, space.max_label + 1, size=200)
         assert np.all(np.abs(compute_alpha(y)) < 1.0)
         for i in range(200):
-            res = abstain_loss(HeadOutput(y[i:i + 1], o[i:i + 1]), labels[i:i + 1], space)
+            res = abstain_loss(head_of(y[i:i + 1], o[i:i + 1]), labels[i:i + 1], space)
             assert res.value >= 0.0
 
     @pytest.mark.parametrize("c", [2, 3, 5, 20])
@@ -205,7 +217,7 @@ class TestAbstainLoss:
         o = -4.0 - target  # ohat + alpha = -4
         labels = np.array([space.resized_outlier, space.synthetic_outlier, 0])[kind]
         labels[kind == 2] = np.argmax(y[kind == 2], axis=1) + 1
-        res = abstain_loss(HeadOutput(y, o), labels, space)
+        res = abstain_loss(head_of(y, o), labels, space)
         assert np.all(res.grad_outlier[kind < 2] < 0.0)
         assert np.all(res.grad_outlier[kind == 2] > 0.0)
 
@@ -391,7 +403,7 @@ class TestCceLoss:
         y = gen.normal(size=(5, 4))
         o = gen.normal(size=5)
         labels = np.array([1, 2, 3, 4, 5])
-        res = cce_loss(HeadOutput(y, o), labels, SPACE4, 0.0)
+        res = cce_loss(head_of(y, o), labels, SPACE4, 0.0)
         z = np.concatenate([y, o[:, None]], axis=1)
         expect = np.mean([self.manual_ce(z[i], labels[i] - 1) for i in range(5)])
         assert res.value == pytest.approx(expect, abs=1e-12)
@@ -401,14 +413,14 @@ class TestCceLoss:
         y = gen.normal(size=(3, 4))
         o = gen.normal(size=3)
         labels = [SPACE4.resized_outlier] * 3
-        a = cce_loss(HeadOutput(y, o), labels, SPACE4, 0.0)
-        b = cce_loss(HeadOutput(y, o), labels, SPACE4, 5.0)
+        a = cce_loss(head_of(y, o), labels, SPACE4, 0.0)
+        b = cce_loss(head_of(y, o), labels, SPACE4, 5.0)
         assert a.value == b.value
         assert np.array_equal(a.grad_inlier, b.grad_inlier)
 
     def test_synth_label_collapses_to_resized(self):
         gen = RngStream(13, 0).generator()
-        head = HeadOutput(gen.normal(size=(3, 4)), gen.normal(size=3))
+        head = head_of(gen.normal(size=(3, 4)), gen.normal(size=3))
         a = cce_loss(head, [SPACE4.resized_outlier] * 3, SPACE4, 1.0)
         b = cce_loss(head, [SPACE4.synthetic_outlier] * 3, SPACE4, 1.0)
         assert a.value == b.value
@@ -418,7 +430,7 @@ class TestCceLoss:
         y = np.array([[1.0, -0.5]])
         o = np.array([0.3])
         space = LabelSpace(2)
-        res = cce_loss(HeadOutput(y, o), [1], space, 1.0)
+        res = cce_loss(head_of(y, o), [1], space, 1.0)
         z = np.array([1.0, -0.5, 0.3])
         ce = self.manual_ce(z, 0)
         lse_ex = math.log(math.exp(-0.5) + math.exp(0.3))
@@ -471,7 +483,7 @@ class TestGradcheckHarness:
 
         def flipped(*args, **kwargs):
             res = real(*args, **kwargs)
-            res.grad_inlier = -res.grad_inlier
+            res.grad[:, :-1] *= -1.0
             return res
 
         monkeypatch.setattr(losses_mod, "abstain_loss", flipped)

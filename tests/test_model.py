@@ -25,6 +25,8 @@ from oodlab.model import (
     _forward_cache,
 )
 
+from conftest import head_of
+
 
 def flat_scene(n=20, z=0.0):
     gen = RngStream(0, 0).generator()
@@ -132,13 +134,11 @@ class TestBackward:
 
         def loss_value(p):
             logits, _ = _forward_cache(x, p)
-            head = HeadOutput(logits[:, :-1], logits[:, -1])
-            return cce_loss(head, labels, space, 1.0).value
+            return cce_loss(HeadOutput(logits), labels, space, 1.0).value
 
         logits, acts = _forward_cache(x, params)
-        head = HeadOutput(logits[:, :-1], logits[:, -1])
-        res = cce_loss(head, labels, space, 1.0)
-        gw, gb = backward(params, acts, res.grad_logits())
+        res = cce_loss(HeadOutput(logits), labels, space, 1.0)
+        gw, gb = backward(params, acts, res.grad)
 
         h = 1e-6
         for k in range(len(params.weights)):
@@ -263,19 +263,27 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(scenes, LabelSpace(2), self.FEATS, cfg, LossConfig())
 
+    def test_overflowing_last_step_raises(self):
+        # one scene, one epoch: no forward pass follows the only update, so
+        # the parameters themselves must be checked
+        cfg = TrainConfig(learning_rate=1e308, epochs=1, loss_mode="ce", hidden_sizes=(8,))
+        with pytest.raises(TrainingDiverged, match=r"epoch 0$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                train(blob_scenes(n_scenes=1, separation=100.0), LabelSpace(2), self.FEATS, cfg, LossConfig())
+
 
 class TestScores:
     def test_msp_one_hot(self):
-        probs = softmax_head(HeadOutput(np.array([[50.0, 0.0]]), np.array([0.0])))
+        probs = softmax_head(head_of(np.array([[50.0, 0.0]]), np.array([0.0])))
         assert score_msp(probs)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_msp_uniform_four_classes(self):
-        probs = softmax_head(HeadOutput(np.zeros((1, 4)), np.zeros(1)))
+        probs = softmax_head(head_of(np.zeros((1, 4)), np.zeros(1)))
         assert score_msp(probs)[0] == pytest.approx(0.75)
 
     def test_msp_bounds(self):
         gen = RngStream(8, 0).generator()
-        probs = softmax_head(HeadOutput(gen.normal(size=(100, 4)) * 4,
+        probs = softmax_head(head_of(gen.normal(size=(100, 4)) * 4,
                                         gen.normal(size=100)))
         s = score_msp(probs)
         assert np.all((s >= 0.0) & (s <= 0.75 + 1e-12))
@@ -284,10 +292,10 @@ class TestScores:
         gen = RngStream(9, 0).generator()
         y = gen.normal(size=(20, 4))
         o = gen.normal(size=20)
-        base_msp = score_msp(softmax_head(HeadOutput(y, o)))
+        base_msp = score_msp(softmax_head(head_of(y, o)))
         # shifting a whole row of yhat together with ohat keeps the softmax
         # over the inlier block intact
-        shifted_msp = score_msp(softmax_head(HeadOutput(y + 10.0, o + 10.0)))
+        shifted_msp = score_msp(softmax_head(head_of(y + 10.0, o + 10.0)))
         assert np.allclose(base_msp, shifted_msp, atol=1e-9)
         assert np.allclose(score_maxlogit(y + 10.0), score_maxlogit(y) - 10.0)
 
@@ -303,14 +311,14 @@ class TestScores:
 
     def test_outlier_prob_monotone_in_ohat(self):
         y = np.zeros((1, 3))
-        lo = score_outlier_prob(softmax_head(HeadOutput(y, np.array([-1.0]))))
-        hi = score_outlier_prob(softmax_head(HeadOutput(y, np.array([1.0]))))
+        lo = score_outlier_prob(softmax_head(head_of(y, np.array([-1.0]))))
+        hi = score_outlier_prob(softmax_head(head_of(y, np.array([1.0]))))
         assert hi[0] > lo[0]
 
     def test_outlier_prob_limits(self):
-        probs = softmax_head(HeadOutput(np.zeros((1, 3)), np.array([-200.0])))
+        probs = softmax_head(head_of(np.zeros((1, 3)), np.array([-200.0])))
         assert score_outlier_prob(probs)[0] == pytest.approx(0.0, abs=1e-12)
-        probs_eq = softmax_head(HeadOutput(np.zeros((1, 3)), np.array([0.0])))
+        probs_eq = softmax_head(head_of(np.zeros((1, 3)), np.array([0.0])))
         assert score_outlier_prob(probs_eq)[0] == pytest.approx(0.25)
 
 

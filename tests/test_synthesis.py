@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial import cKDTree
 
 from oodlab.core import LabelSpace, RngStream, Scene, from_spherical, to_spherical
-from oodlab.io import ObjectAsset
 from oodlab.synthesis import (
     MergeReport,
     PlacementFailed,
@@ -15,52 +14,12 @@ from oodlab.synthesis import (
     place_object,
     resize,
     resize_existing,
-    rotate_upright,
     snap_to_ground,
     synthesize_scene,
     window_min_radius,
 )
 
 from conftest import ScriptedRng, ball_asset, grid_scene
-
-
-def pairwise_distances(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff ** 2).sum(-1))
-
-
-class TestRotateUpright:
-    def test_identity_when_upright(self):
-        asset = ball_asset()
-        out = rotate_upright(asset)
-        assert np.array_equal(out.points, asset.points)
-
-    def test_y_up_mapped_to_z(self):
-        gen = RngStream(0, 0).generator()
-        pts = gen.normal(size=(50, 3))
-        pts[:, 1] *= 5.0  # dominant +y extent
-        asset = ObjectAsset(pts, up_axis="+y")
-        out = rotate_upright(asset)
-        # the former y coordinate becomes z
-        assert np.allclose(out.points[:, 2], pts[:, 1])
-        before = pairwise_distances(pts)
-        after = pairwise_distances(out.points)
-        assert np.max(np.abs(before - after)) < 1e-9
-
-    def test_idempotent(self):
-        asset = ObjectAsset(RngStream(1, 0).generator().normal(size=(30, 3)), up_axis="-x")
-        once = rotate_upright(asset)
-        twice = rotate_upright(once)
-        assert np.array_equal(once.points, twice.points)
-
-    def test_all_axes_are_rotations(self):
-        gen = RngStream(2, 0).generator()
-        pts = gen.normal(size=(40, 3))
-        for axis in ("+x", "-x", "+y", "-y", "+z", "-z"):
-            out = rotate_upright(ObjectAsset(pts, up_axis=axis))
-            d0 = pairwise_distances(pts)
-            d1 = pairwise_distances(out.points)
-            assert np.max(np.abs(d0 - d1)) < 1e-9
 
 
 class TestPlaceObject:
