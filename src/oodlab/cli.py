@@ -214,7 +214,6 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     scenes = [read_scene(p, l) for p, l in pairs]
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = Path(cfg.resolved_checkpoint())
     log_path = out_dir / "train_log.csv"
     _check_collisions([ckpt_path, log_path], force)
@@ -230,6 +229,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     except ValueError as exc:
         raise ConfigError(f"{in_dir}: {exc}") from exc
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt_path, params, beta)
     lines = ["epoch,loss"]
     lines += [f"{e},{repr(v)}" for e, v in enumerate(log.epoch_losses)]
@@ -260,7 +260,6 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
                           f"config's features and num_classes need {want[0]}/{want[1]}")
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {name: out_dir / f"{name}.csv" for name in ("summary", "curves", "histogram")}
     _check_collisions(list(paths.values()), force)
 
@@ -300,6 +299,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
         except UndefinedMetricError:
             pr, roc = "NA", "NA"
         lines.append(f"{name},{pr},{roc},{repr(miou)}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(paths["summary"], "\n".join(lines) + "\n")
 
     points = ScoredPoints(p_o, is_outlier, pred, truth)

@@ -14,6 +14,16 @@ instead, they would not change with the threshold, which leaves the scores'
 ranking as it is.)
 Undefined curve points (e.g. a single-class covered subset) are emitted as
 explicit gaps ("NA" in CSV output), never interpolated.
+
+``threshold_for_coverage`` and ``coverage_curves`` share one threshold rule
+(``_coverage_cuts``): the candidates are the distinct scores plus a top
+sentinel, so a threshold never splits a tie block and the covered set
+score < tau is always a prefix of the ascending score order. The curves
+therefore sort once and read every grid point from prefix counts (confusion
+counts, positives and midrank sums per tie block) instead of re-sorting each
+covered subset: one O(n log n) sort plus O(m * B) for the AUPR sweeps over m
+grid points and B tie blocks. Each curve value equals ``miou_old``,
+``aupr`` or ``auroc`` on the covered subset bit for bit.
 """
 
 from __future__ import annotations
@@ -130,22 +140,38 @@ def selective_risk(points: ScoredPoints, tau: float, num_classes: int) -> float:
     return (100.0 - miou) / phi
 
 
-def threshold_for_coverage(scores, target: float) -> float:
-    """Smallest threshold achieving coverage >= target.
+def _coverage_cuts(sorted_scores: np.ndarray, targets):
+    """The one threshold rule, over ascending scores. Returns the start of
+    each tie block and, for each target coverage, the smallest candidate
+    threshold whose coverage reaches it, the number of points it covers
+    (score < tau) and the number of tie blocks those make up.
 
     Candidates are the distinct score values plus a top sentinel (1.0 when
-    all scores are below 1, else just above the maximum).
+    all scores are below 1, else just above the maximum). The candidate
+    opening block j covers blocks 0..j-1, i.e. ``starts[j]`` points; the
+    sentinel covers all n.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    sorted_scores = np.sort(scores)
-    cand = np.unique(scores)
+    n = len(sorted_scores)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_scores) != 0.0) + 1))
+    cand = sorted_scores[starts]
     top = 1.0 if cand[-1] < 1.0 else np.nextafter(cand[-1], np.inf)
     cand = np.append(cand, top)
-    cov = np.searchsorted(sorted_scores, cand, side="left") / len(scores)
-    j = int(np.searchsorted(cov, target, side="left"))
-    if j >= len(cand):
-        raise UndefinedMetricError(f"coverage {target} unreachable")
-    return float(cand[j])
+    counts = np.append(starts, n)
+    targets = np.asarray(targets, dtype=np.float64)
+    j = np.searchsorted(counts / n, targets, side="left")
+    unreachable = np.flatnonzero(j >= len(cand))
+    if unreachable.size:
+        raise UndefinedMetricError(f"coverage {float(targets[unreachable[0]])} unreachable")
+    return starts, cand[j], counts[j], j
+
+
+def threshold_for_coverage(scores, target: float) -> float:
+    """Smallest threshold achieving coverage >= target, by the rule of
+    ``_coverage_cuts`` that ``coverage_curves`` shares."""
+    # stable, like coverage_curves' argsort: both see -0.0 and 0.0 in one order
+    sorted_scores = np.sort(np.asarray(scores, dtype=np.float64), kind="stable")
+    _, tau, _, _ = _coverage_cuts(sorted_scores, [target])
+    return float(tau[0])
 
 
 @dataclass
@@ -164,39 +190,103 @@ def default_grid(size: int = 100) -> np.ndarray:
     return np.arange(1, size + 1) / size
 
 
+def _prefix_confusion(true, pred, num_classes: int, order, cuts) -> np.ndarray:
+    """Inlier confusion counts of the points ``order[:k]`` for each k in
+    ascending ``cuts``: one (c+1, c+1) true-by-predicted matrix per cut, with
+    labels outside 1..c folded into row/column 0 and ground-truth outliers
+    (true > c) left out. Counted segment by segment between cuts."""
+    c = num_classes
+    w = c + 1
+
+    def fold(labels):
+        return np.where((labels >= 1) & (labels <= c), labels, 0)
+
+    code = np.where(true <= c, fold(true) * w + fold(pred), w * w)
+    counts = np.zeros((len(cuts), w * w + 1), dtype=np.int64)
+    for i, segment in enumerate(np.split(order, cuts)[:-1]):
+        counts[i] = np.bincount(code[segment], minlength=w * w + 1)
+    return counts.cumsum(axis=0)[:, :-1].reshape(len(cuts), w, w)
+
+
+def _block_prefix_sums(sorted_is_outlier, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Per tie block b of the ascending order: the positives in blocks
+    0..b-1, and twice the sum of their midranks (block j's doubled midrank
+    is its start + 1 + its end)."""
+    block_pos = np.add.reduceat(sorted_is_outlier, starts, dtype=np.int64)
+    ends = np.append(starts[1:], len(sorted_is_outlier))
+    cum_pos = np.concatenate(([0], np.cumsum(block_pos)))
+    cum_rank2 = np.concatenate(([0], np.cumsum(block_pos * (starts + 1 + ends))))
+    return cum_pos, cum_rank2
+
+
 def coverage_curves(points: ScoredPoints, num_classes: int, grid=None) -> CoverageCurves:
     """Sweep target coverages; at each, pick the smallest threshold reaching
     it and evaluate risk / AUPR / AUROC on the covered subset.
 
     The recorded coverage is the achieved empirical coverage (which may
-    exceed the target when scores are tied)."""
+    exceed the target when scores are tied).
+
+    Every covered subset is a prefix of the stable ascending score order
+    made of whole tie blocks, so one sort serves all grid points:
+    - risk comes from the inlier confusion counts of the prefix, gathered
+      segment by segment between consecutive cut points;
+    - AUROC's rank sum is the cumulative sum of the global midranks of the
+      positives, since a prefix of whole blocks keeps its midranks (the sums
+      are half-integers far below 2**52, so they are exact);
+    - AUPR's descending sweep visits the prefix's blocks from the last one
+      down, with tp and total read from the block starts and cumulative
+      positive counts, and sums them by the same expression as ``aupr``.
+    Each value equals ``miou_old``/``aupr``/``auroc`` on the covered subset
+    bit for bit, and each gap is where they raise. Cost: one O(n log n)
+    sort, O(n) counting, and O(m * B) for AUPR over m grid points and B tie
+    blocks.
+    """
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     m = len(grid)
-    cov = np.empty(m)
-    thr = np.empty(m)
+    n = len(points.scores)
+    order = np.argsort(points.scores, kind="stable")
+    starts, thr, covered, blocks = _coverage_cuts(points.scores[order], grid)
+    cov = covered / n
+    cuts, cut_of = np.unique(covered, return_inverse=True)
+    confusion = _prefix_confusion(points.true_labels, points.pred_labels, num_classes,
+                                  order, cuts)
+    cum_pos, cum_rank2 = _block_prefix_sums(points.is_outlier[order], starts)
+    del order  # before the sweep buffers, to keep the peak down
+    # the descending sweep of b blocks visits blocks b-1..0: their starts and
+    # the positives before them are the last b entries of these reversed views
+    desc_start, desc_pos_before = starts[::-1], cum_pos[-2::-1]
+    tp_buf, precision_buf, step_buf = (np.empty(len(starts)) for _ in range(3))
+
     risk = np.full(m, np.nan)
     pr = np.full(m, np.nan)
     roc = np.full(m, np.nan)
-    for i, target in enumerate(grid):
-        tau = threshold_for_coverage(points.scores, float(target))
-        covered = points.scores < tau
-        thr[i] = tau
-        cov[i] = float(covered.mean())
-        try:
-            miou = miou_old(
-                points.pred_labels[covered], points.true_labels[covered], num_classes
-            )
+    for i in range(m):
+        k, b = int(covered[i]), int(blocks[i])
+        n_pos = int(cum_pos[b])
+        n_neg = k - n_pos
+        conf = confusion[cut_of[i]]
+        if conf.sum():  # miou_old from counts, over classes on either side
+            in_true = conf.sum(axis=1)[1:]
+            in_pred = conf.sum(axis=0)[1:]
+            present = (in_true + in_pred) > 0
+            hits = conf.diagonal()[1:][present].astype(np.float64)
+            fp = in_pred[present] - hits
+            fn = in_true[present] - hits
+            miou = 100.0 * float(np.mean(hits / (hits + fp + fn)))
             risk[i] = (100.0 - miou) / cov[i]
-        except UndefinedMetricError:
-            pass
-        try:
-            pr[i] = aupr(points.scores[covered], points.is_outlier[covered])
-        except UndefinedMetricError:
-            pass
-        try:
-            roc[i] = auroc(points.scores[covered], points.is_outlier[covered])
-        except UndefinedMetricError:
-            pass
+        if n_pos:  # aupr's np.sum(np.diff(recall, prepend=0.0) * precision), in place
+            last_b = slice(len(starts) - b, None)
+            tp = np.subtract(n_pos, desc_pos_before[last_b], out=tp_buf[:b])
+            precision = np.subtract(k, desc_start[last_b], out=precision_buf[:b])
+            np.divide(tp, precision, out=precision)
+            recall = np.divide(tp, n_pos, out=tp)
+            step = step_buf[:b]
+            step[0] = recall[0]
+            np.subtract(recall[1:], recall[:-1], out=step[1:])
+            pr[i] = float(np.sum(np.multiply(step, precision, out=step)))
+        if n_pos and n_neg:  # auroc: the rank sum is exact, a half-integer < 2**52
+            rank_sum = cum_rank2[b] / 2.0
+            roc[i] = float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     return CoverageCurves(coverage=cov, threshold=thr, risk=risk, aupr=pr, auroc=roc)
 
 

@@ -319,13 +319,15 @@ def train(
             batch_value *= scale
             if not np.isfinite(batch_value):
                 raise TrainingDiverged(epoch, last_good)
-            for k in range(len(acc_w)):
-                params.weights[k] -= lr * scale * acc_w[k]
-                params.biases[k] -= lr * scale * acc_b[k]
-            if mode == "abstain+dynamic":
-                beta = beta - lr * train_cfg.beta_lr_scale * scale * acc_beta
-                if loss_cfg.clamp_beta:
-                    beta = np.maximum(beta, 0.0)
+            # an overflow here is caught by the finiteness check after the epoch
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(len(acc_w)):
+                    params.weights[k] -= lr * scale * acc_w[k]
+                    params.biases[k] -= lr * scale * acc_b[k]
+                if mode == "abstain+dynamic":
+                    beta = beta - lr * train_cfg.beta_lr_scale * scale * acc_beta
+                    if loss_cfg.clamp_beta:
+                        beta = np.maximum(beta, 0.0)
             epoch_values.append(batch_value)
         if not all(np.isfinite(a).all() for a in (*params.weights, *params.biases, beta)):
             raise TrainingDiverged(epoch, last_good)

@@ -1,8 +1,11 @@
 """Independent brute-force oracles used by the metric tests and the
-acceptance suite. These deliberately share no code with the library
-implementations they check."""
+acceptance suite. The AUROC and AUPR oracles deliberately share no code with
+the library implementations they check; the coverage-curve oracle is the
+per-threshold loop over those (separately checked) per-subset metrics."""
 
 import numpy as np
+
+from oodlab.metrics import UndefinedMetricError, aupr, auroc, miou_old, threshold_for_coverage
 
 
 def auroc_pair_counting(scores, is_outlier):
@@ -32,3 +35,38 @@ def aupr_exhaustive_sweep(scores, is_outlier):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def coverage_curves_brute_force(points, num_classes, grid):
+    """Oracle: at each target coverage, pick the threshold with
+    ``threshold_for_coverage`` and recompute risk, AUPR and AUROC from
+    scratch on the covered subset with ``miou_old``, ``aupr`` and ``auroc``;
+    a metric that raises is a NaN gap. Returns the five curve arrays."""
+    grid = np.asarray(grid, dtype=np.float64)
+    m = len(grid)
+    cov = np.empty(m)
+    thr = np.empty(m)
+    risk = np.full(m, np.nan)
+    pr = np.full(m, np.nan)
+    roc = np.full(m, np.nan)
+    for i, target in enumerate(grid):
+        tau = threshold_for_coverage(points.scores, float(target))
+        covered = points.scores < tau
+        thr[i] = tau
+        cov[i] = float(covered.mean())
+        try:
+            miou = miou_old(
+                points.pred_labels[covered], points.true_labels[covered], num_classes
+            )
+            risk[i] = (100.0 - miou) / cov[i]
+        except UndefinedMetricError:
+            pass
+        try:
+            pr[i] = aupr(points.scores[covered], points.is_outlier[covered])
+        except UndefinedMetricError:
+            pass
+        try:
+            roc[i] = auroc(points.scores[covered], points.is_outlier[covered])
+        except UndefinedMetricError:
+            pass
+    return cov, thr, risk, pr, roc

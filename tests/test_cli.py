@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -477,7 +478,7 @@ class TestMalformedInput:
         cfg = self.train_tree(tmp_path, bad_label=9)
         self.expect(capsys, ["train", "--config", cfg], EXIT_CONFIG,
                     "train_scenes: labels outside 1..4: [9]")
-        assert not (tmp_path / "out/model.ckpt").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bin_bytes, label_bytes, named", [
         (17, 5, "000001.bin: truncated point file (17 bytes)"),
@@ -531,10 +532,13 @@ class TestMalformedInput:
         cfg = write_config(tmp_path / "t.json", num_classes=2, train_dir="train_scenes",
                            features={"features": ["z"]},
                            train={"loss_mode": "ce", "epochs": 1, "learning_rate": 1e308})
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.expect(capsys, ["train", "--config", cfg], EXIT_NUMERIC,
-                        "train_scenes: non-finite loss or parameters in epoch 0")
-        assert not (tmp_path / "out/model.ckpt").exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", cfg]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "error: train_scenes: non-finite loss or parameters in epoch 0\n"
+        assert "Warning" not in err and not caught
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, named", [
         ({"features": {"features": ["x", "z"]}}, "input/output sizes 1/3, but the config's "
@@ -560,4 +564,4 @@ class TestMalformedInput:
         cfg = TestEval().eval_config(tmp_path, scenes_dir, ckpt)
         self.expect(capsys, ["eval", "--config", cfg], EXIT_CONFIG,
                     "eval_scenes/000001.label: labels outside 1..4: [9]")
-        assert not (tmp_path / "out/summary.csv").exists()
+        assert not (tmp_path / "out").exists()

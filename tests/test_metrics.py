@@ -1,7 +1,10 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodlab.core import RngStream
 from oodlab.metrics import (
@@ -23,7 +26,7 @@ from oodlab.metrics import (
 )
 
 
-from oracles import aupr_exhaustive_sweep, auroc_pair_counting
+from oracles import aupr_exhaustive_sweep, auroc_pair_counting, coverage_curves_brute_force
 
 
 def random_scored(seed, n=None, heavy_ties=False):
@@ -274,6 +277,106 @@ class TestCoverageCurves:
         grid = default_grid()
         assert len(grid) == 100
         assert grid[0] == 0.01 and grid[-1] == 1.0
+
+
+def labelled_points(gen, scores, c, outlier_share=0.3):
+    """Random points over labels 1..c+2 (c+1 and c+2 are outliers) with
+    predictions in 1..c+1, at the given scores."""
+    n = len(scores)
+    true = np.where(gen.uniform(size=n) < outlier_share,
+                    gen.integers(c + 1, c + 3, size=n), gen.integers(1, c + 1, size=n))
+    pred = gen.integers(1, c + 2, size=n)
+    return make_points(scores, true > c, pred, true)
+
+
+class TestCoverageCurvesOracle:
+    """``coverage_curves`` agrees bit for bit with the per-threshold loop,
+    NaN gaps included."""
+
+    def assert_matches(self, pts, c, grid=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coverage_curves(pts, c, grid)
+        want = coverage_curves_brute_force(pts, c, default_grid() if grid is None else grid)
+        for name, w in zip(("coverage", "threshold", "risk", "aupr", "auroc"), want):
+            g = getattr(got, name)
+            assert np.array_equal(np.isnan(g), np.isnan(w)), name
+            assert np.array_equal(g[~np.isnan(g)], w[~np.isnan(w)]), name
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_heavy_ties(self, seed):
+        gen = RngStream(50, seed).generator()
+        n = int(gen.integers(2, 300))
+        scores = gen.integers(0, 5, size=n) / 4.0
+        self.assert_matches(labelled_points(gen, scores, 3), 3)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_all_distinct(self, seed):
+        gen = RngStream(51, seed).generator()
+        n = int(gen.integers(2, 300))
+        pts = labelled_points(gen, gen.permutation(n) / n, 4)
+        assert len(np.unique(pts.scores)) == n
+        self.assert_matches(pts, 4)
+
+    @pytest.mark.parametrize("score, true", [(0.3, 1), (0.3, 3), (1.0, 1), (1.0, 4)])
+    def test_single_point(self, score, true):
+        pts = make_points([score], [true > 2], [1], [true])
+        self.assert_matches(pts, 2)
+        self.assert_matches(pts, 2, np.array([0.0, 0.5, 1.0]))
+
+    @pytest.mark.parametrize("outlier_share", [0.0, 1.0], ids=["all-inlier", "all-outlier"])
+    def test_single_class(self, outlier_share):
+        gen = RngStream(52, 0).generator()
+        pts = labelled_points(gen, np.round(gen.uniform(size=200), 2), 3, outlier_share)
+        assert pts.is_outlier.all() == (outlier_share == 1.0)
+        curves = coverage_curves(pts, 3)
+        assert np.isnan(curves.auroc).all()
+        assert np.isnan(curves.aupr).all() == (outlier_share == 0.0)
+        assert np.isnan(curves.risk).all() == (outlier_share == 1.0)
+        self.assert_matches(pts, 3)
+
+    def test_grid_starting_with_empty_prefix(self):
+        gen = RngStream(53, 0).generator()
+        scores = np.concatenate([np.full(30, 0.05), gen.uniform(0.1, 1.0, size=70)])
+        pts = labelled_points(gen, scores, 2)
+        grid = np.array([0.0, 0.1, 0.3, 0.31, 0.9, 1.0])
+        curves = coverage_curves(pts, 2, grid)
+        assert curves.coverage[0] == 0.0 and curves.coverage[1] == 0.3
+        assert np.isnan([curves.risk[0], curves.aupr[0], curves.auroc[0]]).all()
+        self.assert_matches(pts, 2, grid)
+
+    @pytest.mark.parametrize("grid", [[0.9, 0.05, 1.0, 0.5, 0.05, 0.33, 0.0, 0.77], []],
+                             ids=["unsorted-with-repeats", "empty"])
+    def test_custom_grid(self, grid):
+        gen = RngStream(54, 0).generator()
+        pts = labelled_points(gen, np.round(gen.uniform(size=250), 2), 3)
+        self.assert_matches(pts, 3, np.array(grid, dtype=float))
+
+    def test_scores_at_and_above_one(self):
+        gen = RngStream(55, 0).generator()
+        pts = labelled_points(gen, gen.integers(0, 6, size=120) / 4.0, 3)
+        assert pts.scores.max() > 1.0
+        self.assert_matches(pts, 3)
+
+    def test_target_above_one_raises(self):
+        pts = make_points([0.1, 0.9], [False, True], [1, 3], [1, 3])
+        with pytest.raises(UndefinedMetricError, match="coverage 1.5 unreachable"):
+            coverage_curves(pts, 2, np.array([0.5, 1.5]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                st.floats(0.0, 1.0)),
+                      st.integers(1, 5), st.integers(1, 4)),
+            min_size=1, max_size=60),
+        grid=st.one_of(st.none(),
+                       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)),
+    )
+    def test_property_matches_brute_force(self, data, grid):
+        scores, true, pred = map(np.array, zip(*data))
+        pts = make_points(scores, true > 3, pred, true)
+        self.assert_matches(pts, 3, None if grid is None else np.array(grid))
 
 
 class TestPoHistogram:
