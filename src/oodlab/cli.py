@@ -3,9 +3,12 @@
 Subcommands: genscan | synth | train | eval | gradcheck. Common flags:
 --config PATH (JSON run config), --seed N (override), --force (overwrite
 existing outputs), --jobs N (scene-level parallelism, default 1). Exit
-codes: 0 success, 2 config error (also a label or checkpoint size that the
-config contradicts), 3 output collision, 4 numeric failure, 5 malformed
-data file (a scene, asset or checkpoint; the message names the file).
+codes: 0 success, 2 config error, 3 output collision, 4 numeric failure, 5
+malformed data file (a scene, asset or checkpoint; the message names the
+file).
+``config.load_config`` checks the whole config before any command runs,
+so a bad value in any section exits 2 for every command, as do inputs
+that contradict the config and a scan section that casts no returns.
 
 All randomness flows from the single top-level seed through per-scene
 stream ids; each stage uses its own stream-id namespace so streams are
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError, RunConfig
-from .core import LabelSpace, RngStream, Scene
+from .core import LabelSpace, RngStream
 from .io import (FormatError, atomic_write, generate_scan, load_asset_dir, read_scene,
                  write_scene)
 from .losses import run_gradient_checks, softmax_head
@@ -39,6 +42,7 @@ from .metrics import (
     aupr,
     auroc,
     coverage_curves,
+    default_grid,
     miou_old,
     po_histogram,
     write_curves_csv,
@@ -96,6 +100,7 @@ def _check_collisions(paths, force: bool):
 
 
 def _scene_pairs(directory: Path) -> list[tuple[Path, Path]]:
+    """The scene file pairs in ``directory``: none, or no directory, is a ConfigError."""
     pairs = []
     for bin_path in sorted(directory.glob("*.bin")):
         label_path = bin_path.with_suffix(".label")
@@ -114,19 +119,17 @@ def _input_digests(pairs, *paths) -> dict[str, str]:
 
 
 def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
-    scan_cfg = cfg.scan.build()
-    if cfg.scan_count < 1:
-        raise ConfigError("scan_count: must be >= 1")
     out_dir = Path(cfg.scan_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = [_scene_name(i) for i in range(cfg.scan_count)]
     targets = [out_dir / f"{n}{ext}" for n in names for ext in (".bin", ".label")]
     _check_collisions(targets, force)
-
-    def make(i: int) -> Scene:
-        return generate_scan(scan_cfg, RngStream(cfg.seed, i))
-
-    scenes = _parallel(make, range(cfg.scan_count), jobs)
+    try:  # an angle that rounds to 0 rad, or a scan that casts no returns
+        scan_cfg = cfg.scan.build()
+        scenes = _parallel(lambda i: generate_scan(scan_cfg, RngStream(cfg.seed, i)),
+                           range(cfg.scan_count), jobs)
+    except ValueError as exc:
+        raise ConfigError(f"scan: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name, scene in zip(names, scenes):
         p, l = out_dir / f"{name}.bin", out_dir / f"{name}.label"
@@ -140,22 +143,16 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
     mode = cfg.synthesis.mode
     synth_cfg = cfg.synthesis.build()
     space = LabelSpace(cfg.num_classes)
-    in_dir = Path(cfg.scan_dir)
-    if not in_dir.is_dir():
-        raise ConfigError(f"scan_dir does not exist: {in_dir}")
-    pairs = _scene_pairs(in_dir)
+    pairs = _scene_pairs(Path(cfg.scan_dir))
 
     assets = []
     if mode in ("asset", "both"):
         asset_dir = Path(cfg.asset_dir)
-        if not asset_dir.is_dir():
-            raise ConfigError(f"asset_dir does not exist: {asset_dir}")
-        assets = load_asset_dir(
-            asset_dir, count=cfg.synthesis.asset_sample_count,
-            rng=RngStream(cfg.seed, STREAM_SYNTH - 1),
-        )
+        if asset_dir.is_dir():
+            assets = load_asset_dir(asset_dir, count=cfg.synthesis.asset_sample_count,
+                                    rng=RngStream(cfg.seed, STREAM_SYNTH - 1))
         if not assets:
-            raise ConfigError(f"asset_dir is empty: {asset_dir}")
+            raise ConfigError(f"no assets in asset_dir {asset_dir}")
 
     out_dir = Path(cfg.synth_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,13 +200,8 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
 
 
 def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
-    train_cfg = cfg.train.build(cfg.seed)
-    loss_cfg = cfgmod.validated(cfg.loss, "loss")
-    feature_cfg = cfgmod.validated(cfg.features, "features")
     space = LabelSpace(cfg.num_classes)
     in_dir = Path(cfg.train_dir or cfg.synth_dir)
-    if not in_dir.is_dir():
-        raise ConfigError(f"training scene dir does not exist: {in_dir}")
     pairs = _scene_pairs(in_dir)
     scenes = [read_scene(p, l) for p, l in pairs]
 
@@ -220,7 +212,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
 
     try:
         params, beta, log = train(
-            scenes, space, feature_cfg, train_cfg, loss_cfg,
+            scenes, space, cfg.features, cfg.train, cfg.loss,
             rng=RngStream(cfg.seed, STREAM_TRAIN),
         )
     except TrainingDiverged as exc:
@@ -230,6 +222,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
         raise ConfigError(f"{in_dir}: {exc}") from exc
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ckpt_path, params, beta)
     lines = ["epoch,loss"]
     lines += [f"{e},{repr(v)}" for e, v in enumerate(log.epoch_losses)]
@@ -243,18 +236,13 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
 
 def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     space = LabelSpace(cfg.num_classes)
-    feature_cfg = cfgmod.validated(cfg.features, "features")
-    grid = cfg.metrics.build_grid()
     ckpt_path = Path(cfg.resolved_checkpoint())
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint does not exist: {ckpt_path}")
-    in_dir = Path(cfg.eval_dir or cfg.synth_dir)
-    if not in_dir.is_dir():
-        raise ConfigError(f"eval scene dir does not exist: {in_dir}")
-    pairs = _scene_pairs(in_dir)
+    pairs = _scene_pairs(Path(cfg.eval_dir or cfg.synth_dir))
     params, _beta = load_checkpoint(ckpt_path)
     got = (params.layer_sizes[0], params.layer_sizes[-1])
-    want = (len(feature_cfg.features), space.num_classes + 1)
+    want = (len(cfg.features.features), space.num_classes + 1)
     if got != want:
         raise ConfigError(f"{ckpt_path}: input/output sizes {got[0]}/{got[1]}, but the "
                           f"config's features and num_classes need {want[0]}/{want[1]}")
@@ -269,7 +257,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
             space.validate(scene.labels)
         except ValueError as exc:
             raise ConfigError(f"{pair[1]}: {exc}") from exc
-        head = forward(extract_features(scene, feature_cfg), params)
+        head = forward(extract_features(scene, cfg.features), params)
         probs = softmax_head(head)
         # argmax over [p^y, p^o]; a tie goes to the inlier class
         p_in = probs.p_inlier
@@ -303,7 +291,8 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     atomic_write(paths["summary"], "\n".join(lines) + "\n")
 
     points = ScoredPoints(p_o, is_outlier, pred, truth)
-    curves = coverage_curves(points, space.num_classes, grid=grid)
+    curves = coverage_curves(points, space.num_classes,
+                             grid=default_grid(cfg.metrics.grid_size))
     write_curves_csv(paths["curves"], curves)
     write_histogram_csv(paths["histogram"], po_histogram(p_o, is_outlier))
 
@@ -315,13 +304,8 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
-    gc = cfg.gradcheck
-    if gc.instances < 1:
-        raise ConfigError("gradcheck.instances: must be >= 1")
-    if gc.max_points < 2:
-        raise ConfigError("gradcheck.max_points: must be >= 2")
-    results = run_gradient_checks(
-        num_instances=gc.instances, max_points=gc.max_points, seed=cfg.seed)
+    results = run_gradient_checks(num_instances=cfg.gradcheck.instances,
+                                  max_points=cfg.gradcheck.max_points, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "gradcheck.csv"

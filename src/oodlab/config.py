@@ -2,12 +2,16 @@
 
 The config file is a JSON object mirroring RunConfig's nested sections;
 every field has a default, unknown keys are rejected by name, and a value
-must have the JSON type of its field's default. The ``features`` and
-``loss`` sections are the library's FeatureConfig and LossConfig, checked
-by their own constructors when a command uses them (``validated``). Angles
-in the config are degrees (converted here, at the boundary); angular
-windows for the merge follow SynthesisConfig's unit choice (radians by
-default).
+must have the JSON type of its field's default (NaN, Infinity and numbers
+beyond the double range are rejected). ``load_config`` is the one
+validation point: it builds every section through its constructor once,
+so a bad value in any section is a ConfigError before any command runs.
+``features``, ``train`` and ``loss`` are the library's FeatureConfig,
+TrainConfig and LossConfig, whose ValueError becomes a ConfigError naming
+the section; the train seed is the top-level ``seed``, not a key. The
+CLI-only sections and the top level check their values in
+``__post_init__``. Angles are degrees, converted by ``ScanSection.build``,
+except the merge's angular windows, which follow SynthesisConfig (radians).
 
 Every command writes a RunManifest JSON next to its outputs: the resolved
 config snapshot, the seed, the artifact version, sha256 digests of the
@@ -20,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +32,6 @@ import numpy as np
 
 from .io import PrimitiveObstacle, ScanConfig, atomic_write
 from .losses import LossConfig
-from .metrics import default_grid
 from .model import FeatureConfig, TrainConfig
 from .synthesis import SynthesisConfig
 
@@ -55,25 +59,36 @@ class ScanSection:
     obstacle_size: tuple[float, float] = (0.6, 2.8)
     obstacles: tuple[dict, ...] = ()
 
-    def build(self) -> ScanConfig:
-        if self.azimuth_step_deg <= 0:
+    def __post_init__(self):
+        if not self.azimuth_step_deg > 0:
             raise ConfigError("scan.azimuth_step_deg: must be > 0")
         if self.beam_count < 1:
             raise ConfigError("scan.beam_count: must be >= 1")
-        if self.max_range <= 0:
+        if not self.max_range > 0:
             raise ConfigError("scan.max_range: must be > 0")
-        fixed = []
+        for name in ("obstacle_distance", "obstacle_size"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"scan.{name}: must hold two numbers, [min, max]")
+        self._fixed_obstacles()
+
+    def _fixed_obstacles(self) -> tuple[PrimitiveObstacle, ...]:
+        fixed, keys = [], {"kind", "center", "size", "yaw_deg", "label"}
         for i, spec in enumerate(self.obstacles):
+            if isinstance(spec, dict) and (unknown := sorted(spec.keys() - keys)):
+                raise ConfigError(f"unknown config key: scan.obstacles[{i}].{unknown[0]}")
             try:
                 fixed.append(PrimitiveObstacle(
-                    kind=spec["kind"],
-                    center=tuple(spec["center"]),
-                    size=tuple(spec["size"]),
-                    yaw=float(np.deg2rad(spec.get("yaw_deg", 0.0))),
-                    label=int(spec.get("label", 2)),
+                    kind=_typed(spec["kind"], "", "kind"),
+                    center=_typed(spec["center"], (0.0,), "center"),
+                    size=_typed(spec["size"], (0.0,), "size"),
+                    yaw=float(np.deg2rad(_typed(spec.get("yaw_deg", 0.0), 0.0, "yaw_deg"))),
+                    label=_typed(spec.get("label", 2), 0, "label"),
                 ))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"scan.obstacles[{i}]: {exc}") from exc
+        return tuple(fixed)
+
+    def build(self) -> ScanConfig:
         elevations = tuple(np.deg2rad(np.linspace(
             self.elevation_min_deg, self.elevation_max_deg, self.beam_count
         )))
@@ -84,7 +99,7 @@ class ScanSection:
             ground_z=self.ground_z,
             ground_label=self.ground_label,
             max_range=self.max_range,
-            obstacles=tuple(fixed),
+            obstacles=self._fixed_obstacles(),
             random_obstacles=self.random_obstacles,
             box_label=self.box_label,
             cylinder_label=self.cylinder_label,
@@ -112,63 +127,46 @@ class SynthSection:
     cluster_threshold: float = 0.5
     asset_sample_count: int = 2048
 
-    def build(self) -> SynthesisConfig:
+    def __post_init__(self):
         if self.mode not in ("asset", "resize", "both"):
             raise ConfigError("synthesis.mode: must be asset, resize, or both")
         if self.asset_sample_count < 10:
             raise ConfigError("synthesis.asset_sample_count: must be >= 10")
-        try:
-            return SynthesisConfig(
-                object_count_trials=self.object_count_trials,
-                object_count_prob=self.object_count_prob,
-                placement_max_frac=self.placement_max_frac,
-                scale_range=(self.scale_min, self.scale_max),
-                overlap_delta=self.overlap_delta,
-                window_lon=self.window_lon,
-                window_lat=self.window_lat,
-                ground_search_radius=self.ground_search_radius,
-                occlusion_capped=self.occlusion_capped,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"synthesis: {exc}") from exc
+        self.build()  # SynthesisConfig's own checks
 
-
-@dataclass
-class TrainSection:
-    learning_rate: float = 0.05
-    epochs: int = 10
-    loss_mode: str = "abstain+static"
-    scenes_per_batch: int = 1
-    hidden_sizes: tuple[int, ...] = (64, 64)
-
-    def build(self, seed: int) -> TrainConfig:
-        try:
-            return TrainConfig(
-                learning_rate=self.learning_rate,
-                epochs=self.epochs,
-                seed=seed,
-                loss_mode=self.loss_mode,
-                scenes_per_batch=self.scenes_per_batch,
-                hidden_sizes=tuple(self.hidden_sizes),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from exc
+    def build(self) -> SynthesisConfig:
+        return SynthesisConfig(
+            object_count_trials=self.object_count_trials,
+            object_count_prob=self.object_count_prob,
+            placement_max_frac=self.placement_max_frac,
+            scale_range=(self.scale_min, self.scale_max),
+            overlap_delta=self.overlap_delta,
+            window_lon=self.window_lon,
+            window_lat=self.window_lat,
+            ground_search_radius=self.ground_search_radius,
+            occlusion_capped=self.occlusion_capped,
+        )
 
 
 @dataclass
 class MetricsSection:
     grid_size: int = 100
 
-    def build_grid(self) -> np.ndarray:
+    def __post_init__(self):
         if self.grid_size < 1:
             raise ConfigError("metrics.grid_size: must be >= 1")
-        return default_grid(self.grid_size)
 
 
 @dataclass
 class GradcheckSection:
     instances: int = 100
     max_points: int = 64
+
+    def __post_init__(self):
+        if self.instances < 1:
+            raise ConfigError("gradcheck.instances: must be >= 1")
+        if self.max_points < 2:
+            raise ConfigError("gradcheck.max_points: must be >= 2")
 
 
 @dataclass
@@ -186,23 +184,20 @@ class RunConfig:
     scan: ScanSection = field(default_factory=ScanSection)
     synthesis: SynthSection = field(default_factory=SynthSection)
     features: FeatureConfig = field(default_factory=FeatureConfig)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     metrics: MetricsSection = field(default_factory=MetricsSection)
     gradcheck: GradcheckSection = field(default_factory=GradcheckSection)
 
+    def __post_init__(self):
+        if self.num_classes < 1:
+            raise ConfigError("num_classes: must be >= 1")
+        if self.scan_count < 1:
+            raise ConfigError("scan_count: must be >= 1")
+        self.train.seed = self.seed
+
     def resolved_checkpoint(self) -> str:
         return self.checkpoint or str(Path(self.out_dir) / "model.ckpt")
-
-
-def validated(section, name: str):
-    """A copy of the library config ``section`` made by its constructor,
-    whose checks ``_apply`` bypasses; their ValueError becomes a
-    ConfigError naming the section ``name``."""
-    try:
-        return dataclasses.replace(section)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
 
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
@@ -216,7 +211,10 @@ def _typed(value, default, key: str):
     is not a number."""
     kind = type(default)
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{key}: {value} is beyond the double range") from None
     if kind is tuple and type(value) is list:
         if not default:
             return tuple(value)
@@ -226,41 +224,57 @@ def _typed(value, default, key: str):
     return value
 
 
-def _apply(obj, data: dict, prefix: str) -> None:
-    fields = {f.name: f for f in dataclasses.fields(obj)}
+def _build(cls, data: dict, prefix: str):
+    """``cls`` made by its constructor from the JSON object ``data``: keys
+    are checked against its fields, values against the types of their
+    defaults, and a nested section is built the same way. A ValueError of
+    the constructor becomes a ConfigError naming the section."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
     for key, value in data.items():
         if key not in fields:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        current = getattr(obj, key)
-        if dataclasses.is_dataclass(current) and not isinstance(current, type):
+        if prefix + key == "train.seed":
+            raise ConfigError("train.seed: the top-level seed is the only seed a config sets")
+        f = fields[key]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(default):
             if not isinstance(value, dict):
                 raise ConfigError(f"{prefix}{key}: expected an object")
-            _apply(current, value, prefix=f"{prefix}{key}.")
+            kwargs[key] = _build(type(default), value, prefix=f"{prefix}{key}.")
         else:
-            f = fields[key]
-            default = (f.default if f.default_factory is dataclasses.MISSING
-                       else f.default_factory())
-            setattr(obj, key, _typed(value, default, prefix + key))
+            kwargs[key] = _typed(value, default, prefix + key)
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{prefix.rstrip('.')}: {exc}") from exc
+
+
+def _finite_number(text: str) -> float:
+    """A JSON number; NaN, Infinity and overflowing numbers raise."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from defaults, an optional JSON file, and overrides."""
-    cfg = RunConfig()
+    """The RunConfig of the JSON file at ``path`` (defaults alone without
+    one), with the top-level keys of ``overrides`` replacing the file's.
+    Raises ConfigError naming the key or section of any invalid value."""
+    data = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8"),
+                              parse_float=_finite_number, parse_constant=_finite_number)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a non-finite number or bad UTF-8
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        _apply(cfg, data, prefix="")
-    if overrides:
-        _apply(cfg, overrides, prefix="")
-    if cfg.num_classes < 1:
-        raise ConfigError("num_classes: must be >= 1")
-    return cfg
+    return _build(RunConfig, {**data, **(overrides or {})}, prefix="")
 
 
 def file_digest(path) -> str:

@@ -274,6 +274,8 @@ class PrimitiveObstacle:
     def __post_init__(self):
         if self.kind not in ("box", "cylinder"):
             raise ValueError(f"unknown obstacle kind {self.kind!r}")
+        if len(self.center) != 3:
+            raise ValueError("center needs 3 components")
         need = 3 if self.kind == "box" else 2
         if len(self.size) != need:
             raise ValueError(f"{self.kind} size needs {need} components")

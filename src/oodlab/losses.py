@@ -121,8 +121,10 @@ def _logsumexp_parts(y: np.ndarray):
     return m, e, _row_reduce(np.add, e)
 
 
-def head_stats(head: HeadOutput) -> HeadStats:
-    """One max-shifted logsumexp pass over the inlier logits."""
+def softmax_head(head: HeadOutput) -> HeadStats:
+    """Row-wise softmax over [yhat, ohat], from one max-shifted logsumexp
+    pass over the inlier logits: ``p_inlier`` and ``p_o`` hold its c inlier
+    columns and its outlier column."""
     m, e, total = _logsumexp_parts(head.inlier_logits)
     alpha = -(m + np.log(total))
     x = head.outlier_logit + alpha
@@ -210,13 +212,6 @@ class LossResult:
     @property
     def grad_outlier(self) -> np.ndarray:
         return self.grad[:, -1]
-
-
-def softmax_head(head: HeadOutput) -> HeadStats:
-    """Row-wise softmax over [yhat, ohat]: the ``head_stats`` of ``head``,
-    whose ``p_inlier`` and ``p_o`` hold its c inlier columns and its
-    outlier column."""
-    return head_stats(head)
 
 
 def compute_alpha(inlier_logits: np.ndarray) -> np.ndarray:
@@ -327,7 +322,7 @@ def _objective(head: HeadOutput, labels, space: LabelSpace, weight_abstain, pena
     beta = None if beta is None else np.asarray(beta, dtype=np.float64)
     if beta is not None and beta.shape != (3,):
         raise ValueError("beta must have shape (3,)")
-    st = head_stats(head)
+    st = softmax_head(head)
     if weight_abstain is None:
         values, grad = np.zeros(n), np.zeros((n, c + 1))
     else:
@@ -392,7 +387,7 @@ def total_loss(
     """The objective of training mode ``mode`` (one of ``LOSS_MODES``).
 
     "abstain+static" and "abstain+dynamic" give weight_abstain * abstain
-    plus the static or the dynamic penalty, from one ``head_stats`` pass;
+    plus the static or the dynamic penalty, from one ``softmax_head`` pass;
     the dynamic one needs ``beta``. "ce+cce" and "ce" give ``cce_loss``
     with calibration weight 1 and 0.
     """

@@ -302,7 +302,9 @@ def train(
             acc_beta = np.zeros(3)
             batch_value = 0.0
             for i in batch:
-                logits, acts = _forward_cache(feats[i], params, act_bufs)
+                # an overflow here is caught by HeadOutput's finiteness check
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits, acts = _forward_cache(feats[i], params, act_bufs)
                 try:  # the shapes are right by construction: only NaN/inf fail
                     head = HeadOutput(logits)
                 except ValueError:

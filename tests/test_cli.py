@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import warnings
@@ -5,12 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _benchmark
 from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from oodlab.config import load_config
+from oodlab.config import ConfigError, RunConfig, load_config
 from oodlab.core import RngStream, Scene
 from oodlab.io import write_scene
-from oodlab.model import MlpParams, save_checkpoint
+from oodlab.losses import LOSS_MODES, LossConfig
+from oodlab.model import FEATURE_NAMES, MlpParams, TrainConfig, save_checkpoint
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 def write_config(path, **data):
@@ -126,6 +133,116 @@ class TestConfig:
         cfg.write_text("{not json")
         assert main(["genscan", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_rejected(self, tmp_path, monkeypatch, capsys, number):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"scan": {"max_range": %s}}' % number)
+        assert main(["genscan", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"invalid JSON: {number} is not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    def test_train_seed_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", train={"seed": 3})
+        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert "train.seed: the top-level seed" in capsys.readouterr().err
+
+    def test_train_seed_is_run_seed(self, tmp_path):
+        path = write_config(tmp_path / "c.json", seed=5)
+        assert load_config(path).train.seed == 5
+        assert load_config(path, {"seed": 9}).train.seed == 9
+
+    @pytest.mark.parametrize("command", ["genscan", "synth", "train", "eval", "gradcheck"])
+    def test_bad_section_fails_every_command(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", metrics={"grid_size": 0})
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert "metrics.grid_size: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scan, message", [
+        ({"obstacles": [{"kind": "box", "center": [0, 0], "size": [1, 1, 1]}]},
+         "scan.obstacles[0]: center needs 3 components"),
+        ({"obstacles": [{"kind": "box", "center": "abc", "size": [1, 1, 1]}]},
+         'scan.obstacles[0]: center: expected an array, got "abc"'),
+        ({"obstacles": [{"kind": "box", "center": [5, 0, 1], "size": [1, 1, 1], "yaw": 45}]},
+         "unknown config key: scan.obstacles[0].yaw"),
+        ({"obstacle_size": [1.0]}, "scan.obstacle_size: must hold two numbers"),
+        ({"azimuth_step_deg": 5e-324}, "scan: azimuth_step must be > 0"),
+    ])
+    def test_invalid_scan_named(self, tmp_path, monkeypatch, capsys, scan, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", scan=scan)
+        assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_desk_example_is_the_acceptance_recipe(self):
+        cfg = load_config(EXAMPLES / "desk.json")
+        assert cfg.num_classes == _benchmark.SPACE.num_classes
+        assert cfg.scan.build() == _benchmark.SCAN_CFG
+        assert cfg.synthesis.build() == _benchmark.SYNTH_CFG
+        assert cfg.features == _benchmark.FEATURES
+        assert cfg.train == TrainConfig(seed=17001, loss_mode="abstain+static",
+                                        **_benchmark.TRAIN_RECIPE)
+        assert cfg.loss == LossConfig(**_benchmark.LOSS_RECIPE)
+
+
+def _default(f: dataclasses.Field):
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+WORDS = st.sampled_from(LOSS_MODES + FEATURE_NAMES + ("asset", "resize", "both", "box",
+                                                      "cylinder"))
+OBSTACLE = {"kind": "box", "center": (0.0, 0.0, 1.0), "size": (1.0, 1.0, 1.0),
+            "yaw_deg": 0.0, "label": 2}
+
+
+def json_like(default):
+    """JSON values of the type of the config default ``default``, mostly
+    near its domain, or any JSON value."""
+    if dataclasses.is_dataclass(default):
+        typed = json_section(type(default))
+    elif isinstance(default, bool):
+        typed = st.booleans()
+    elif isinstance(default, (int, float)):
+        typed = st.integers(-3, 200) | st.integers() | st.floats(allow_nan=False,
+                                                                  allow_infinity=False)
+    elif isinstance(default, str):
+        typed = WORDS | st.text(max_size=6)
+    elif isinstance(default, dict):
+        typed = st.dictionaries(WORDS, json_like(1.0), max_size=3)
+    elif default:
+        typed = st.lists(json_like(default[0]), max_size=4)
+    else:  # scan.obstacles
+        typed = st.lists(st.fixed_dictionaries(
+            {}, optional={k: json_like(v) for k, v in OBSTACLE.items()}), max_size=2)
+    return typed | ANY_JSON
+
+
+def json_section(cls):
+    """JSON objects over the keys of the config section ``cls``."""
+    return st.fixed_dictionaries(
+        {}, optional={f.name: json_like(_default(f)) for f in dataclasses.fields(cls)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=json_section(RunConfig))
+def test_load_config_gives_config_or_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(data))
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig) and cfg.train.seed == cfg.seed
+
 
 class TestGenscan:
     def test_writes_deterministic_scene_files(self, tmp_path, monkeypatch):
@@ -161,6 +278,14 @@ class TestGenscan:
         assert main(["genscan", "--config", cfg, "--seed", "9", "--force"]) == EXIT_OK
         b = (tmp_path / "data/scans/000000.bin").read_bytes()
         assert a != b
+
+    def test_scan_without_returns_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", scan={
+            "elevation_min_deg": 10, "elevation_max_deg": 20, "random_obstacles": 0})
+        assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
+        assert "scan: scan configuration produces no returns" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     def test_jobs_flag_preserves_output(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -370,6 +495,16 @@ class TestTrain:
         a = (tmp_path / "out/model.ckpt").read_bytes()
         assert main(["train", "--config", cfg, "--force"]) == EXIT_OK
         assert (tmp_path / "out/model.ckpt").read_bytes() == a
+
+    def test_checkpoint_in_new_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self.write_train_scenes(tmp_path, with_outliers=True)
+        cfg = self.train_config(tmp_path, mode="abstain+static", checkpoint="nodir/m.ckpt",
+                                eval_dir="train_scenes")
+        assert main(["train", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "nodir/m.ckpt").is_file()
+        assert main(["eval", "--config", cfg]) == EXIT_OK
+        assert (tmp_path / "out/summary.csv").is_file()
 
     def test_divergence_exit_code(self, tmp_path, monkeypatch, capsys):
         # true float divergence is exercised in test_model; here only the

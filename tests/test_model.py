@@ -256,6 +256,7 @@ class TestTrain:
         assert np.array_equal(b1, b2)
         assert log1.epoch_losses == log2.epoch_losses
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_aborts(self):
         scenes = blob_scenes(n_scenes=2)
         cfg = TrainConfig(learning_rate=1e12, epochs=50, loss_mode="ce",
