@@ -78,10 +78,6 @@ class OutputCollision(RuntimeError):
     pass
 
 
-def _scene_name(i: int) -> str:
-    return f"{i:06d}"
-
-
 def _parallel(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(x) for x in items]
@@ -90,13 +86,8 @@ def _parallel(fn, items, jobs: int):
 
 
 def _check_collisions(paths, force: bool):
-    if force:
-        return
-    existing = [str(p) for p in paths if Path(p).exists()]
-    if existing:
-        raise OutputCollision(
-            f"output exists (use --force to overwrite): {existing[0]}"
-        )
+    if not force and (existing := [p for p in paths if Path(p).exists()]):
+        raise OutputCollision(f"output exists (use --force to overwrite): {existing[0]}")
 
 
 def _scene_pairs(directory: Path) -> list[tuple[Path, Path]]:
@@ -120,11 +111,11 @@ def _input_digests(pairs, *paths) -> dict[str, str]:
 
 def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_dir = Path(cfg.scan_dir)
-    names = [_scene_name(i) for i in range(cfg.scan_count)]
+    names = [f"{i:06d}" for i in range(cfg.scan_count)]
     targets = [out_dir / f"{n}{ext}" for n in names for ext in (".bin", ".label")]
     _check_collisions(targets, force)
-    try:  # an angle that rounds to 0 rad, or a scan that casts no returns
-        scan_cfg = cfg.scan.build()
+    scan_cfg = cfg.scan.build()
+    try:  # a scan that casts no returns
         scenes = _parallel(lambda i: generate_scan(scan_cfg, RngStream(cfg.seed, i)),
                            range(cfg.scan_count), jobs)
     except ValueError as exc:

@@ -8,9 +8,10 @@ validation point: it builds every section through its constructor once,
 so a bad value in any section is a ConfigError before any command runs.
 ``features``, ``train`` and ``loss`` are the library's FeatureConfig,
 TrainConfig and LossConfig, whose ValueError becomes a ConfigError naming
-the section; the train seed is the top-level ``seed``, not a key. The
-CLI-only sections and the top level check their values in
-``__post_init__``. Angles are degrees, converted by ``ScanSection.build``,
+the section; the seed is the top-level one (``train.seed`` and
+``train.beta_lr_scale`` are not keys). The other sections check their
+values in ``__post_init__``, where scan and synthesis also build their
+library config. Angles are degrees, converted by ``ScanSection.build``,
 except the merge's angular windows, which follow SynthesisConfig (radians).
 
 Every command writes a RunManifest JSON next to its outputs: the resolved
@@ -62,14 +63,14 @@ class ScanSection:
     def __post_init__(self):
         if not self.azimuth_step_deg > 0:
             raise ConfigError("scan.azimuth_step_deg: must be > 0")
-        if self.beam_count < 1:
-            raise ConfigError("scan.beam_count: must be >= 1")
-        if not self.max_range > 0:
-            raise ConfigError("scan.max_range: must be > 0")
+        if not 1 <= self.beam_count <= 4096:  # lidars have <= 128; build() makes the fan
+            raise ConfigError("scan.beam_count: must be in [1, 4096]")
+        if max(abs(self.elevation_min_deg), abs(self.elevation_max_deg)) > 90:
+            raise ConfigError("scan.elevation_min_deg/max_deg: must be within [-90, 90]")
         for name in ("obstacle_distance", "obstacle_size"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"scan.{name}: must hold two numbers, [min, max]")
-        self._fixed_obstacles()
+        self.build()  # the obstacle specs and ScanConfig's own checks
 
     def _fixed_obstacles(self) -> tuple[PrimitiveObstacle, ...]:
         fixed, keys = [], {"kind", "center", "size", "yaw_deg", "label"}
@@ -194,7 +195,7 @@ class RunConfig:
             raise ConfigError("num_classes: must be >= 1")
         if self.scan_count < 1:
             raise ConfigError("scan_count: must be >= 1")
-        self.train.seed = self.seed
+        self.train = dataclasses.replace(self.train, seed=self.seed)
 
     def resolved_checkpoint(self) -> str:
         return self.checkpoint or str(Path(self.out_dir) / "model.ckpt")
@@ -224,6 +225,11 @@ def _typed(value, default, key: str):
     return value
 
 
+# Library fields that a config file does not set, and why.
+_NOT_SETTABLE = {"train.seed": "the top-level seed is the only seed a config sets",
+                 "train.beta_lr_scale": "not a config setting; the CLI trains at 1.0"}
+
+
 def _build(cls, data: dict, prefix: str):
     """``cls`` made by its constructor from the JSON object ``data``: keys
     are checked against its fields, values against the types of their
@@ -234,8 +240,8 @@ def _build(cls, data: dict, prefix: str):
     for key, value in data.items():
         if key not in fields:
             raise ConfigError(f"unknown config key: {prefix}{key}")
-        if prefix + key == "train.seed":
-            raise ConfigError("train.seed: the top-level seed is the only seed a config sets")
+        if prefix + key in _NOT_SETTABLE:
+            raise ConfigError(f"{prefix}{key}: {_NOT_SETTABLE[prefix + key]}")
         f = fields[key]
         default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
         if dataclasses.is_dataclass(default):

@@ -153,6 +153,39 @@ class TestConfig:
         assert load_config(path).train.seed == 5
         assert load_config(path, {"seed": 9}).train.seed == 9
 
+    def test_train_beta_lr_scale_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", train={"beta_lr_scale": 0.5})
+        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert "train.beta_lr_scale: not a config setting" in capsys.readouterr().err
+
+    def test_configs_do_not_share_train(self):
+        first = RunConfig(seed=1)
+        second = dataclasses.replace(first, seed=2)
+        third = RunConfig(seed=3, train=first.train)
+        assert (first.train.seed, second.train.seed, third.train.seed) == (1, 2, 3)
+
+    @pytest.mark.parametrize("command", ["genscan", "synth", "train", "eval", "gradcheck"])
+    def test_library_scan_check_fails_every_command(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", scan={"azimuth_step_deg": 5e-324})
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert "scan: azimuth_step must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scan, message", [
+        ({"beam_count": 10**12}, "scan.beam_count: must be in [1, 4096]"),
+        ({"elevation_min_deg": -1e308, "elevation_max_deg": 1e308},
+         "scan.elevation_min_deg/max_deg: must be within [-90, 90]"),
+    ])
+    def test_scan_fan_bounded(self, tmp_path, monkeypatch, capsys, scan, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", scan=scan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["genscan", "synth", "train", "eval", "gradcheck"])
     def test_bad_section_fails_every_command(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
@@ -232,6 +265,7 @@ def json_section(cls):
         {}, optional={f.name: json_like(_default(f)) for f in dataclasses.fields(cls)})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=json_section(RunConfig))
 def test_load_config_gives_config_or_config_error(tmp_path_factory, data):
