@@ -2,7 +2,8 @@
 
 Subcommands: genscan | synth | train | eval | gradcheck. Common flags:
 --config PATH (JSON run config), --seed N (override), --force (overwrite
-existing outputs), --jobs N (scene-level parallelism, default 1). Exit
+existing outputs), --jobs N (scene-level threads for genscan, synth and
+eval, default 1; train and gradcheck accept it and run on one). Exit
 codes: 0 success, 2 config error, 3 output collision, 4 numeric failure, 5
 malformed data file (a scene, asset or checkpoint; the message names the
 file).
@@ -14,7 +15,9 @@ All randomness flows from the single top-level seed through per-scene
 stream ids; each stage uses its own stream-id namespace so streams are
 never reused across stages. Every output file is written atomically by
 ``io.atomic_write`` (temp file + rename), and every command records a
-RunManifest.
+RunManifest as ``<command>.manifest.json`` in its output directory
+(genscan: scan_dir, synth: synth_dir, the others: out_dir), so no command
+overwrites another's.
 
 ``gradcheck`` sets only the instance count and size; the check itself runs
 at ``run_gradient_checks``'s defaults, against ``GRADCHECK_TOLERANCE``.
@@ -126,7 +129,7 @@ def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
         p, l = out_dir / f"{name}.bin", out_dir / f"{name}.label"
         write_scene(scene, p, l)
         outputs += [p.name, l.name]
-    cfgmod.write_manifest(out_dir / "manifest.json", "genscan", cfg, {}, outputs)
+    cfgmod.write_manifest(out_dir, "genscan", cfg, {}, outputs)
     return EXIT_OK
 
 
@@ -156,22 +159,26 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
         i, (bin_path, label_path) = item
         scene = read_scene(bin_path, label_path)
         rng = RngStream(cfg.seed, STREAM_SYNTH + i).generator()
-        reports = []
+        reports, resized = [], None
         if mode in ("resize", "both"):
-            scene, _ = resize_existing(
+            scene, resized = resize_existing(
                 scene, cfg.synthesis.resize_target_class, space,
                 (cfg.synthesis.resize_scale_min, cfg.synthesis.resize_scale_max),
                 rng, cluster_threshold=cfg.synthesis.cluster_threshold,
             )
         if mode in ("asset", "both"):
             scene, reports = synthesize_scene(scene, assets, space, synth_cfg, rng)
-        return scene, reports
+        return scene, reports, resized
 
     results = _parallel(process, list(enumerate(pairs)), jobs)
     inputs = _input_digests(pairs)
     outputs = []
     all_reports = {}
-    for (bin_path, label_path), (scene, reports) in zip(pairs, results):
+    for (bin_path, label_path), (scene, reports, resized) in zip(pairs, results):
+        if resized is not None and resized.size == 0:
+            print(f"warning: {bin_path}: target class "
+                  f"{cfg.synthesis.resize_target_class} absent; scene unchanged",
+                  file=sys.stderr)
         write_scene(scene, out_dir / bin_path.name, out_dir / label_path.name)
         outputs += [bin_path.name, label_path.name]
         all_reports[bin_path.stem] = [
@@ -186,7 +193,7 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
     atomic_write(out_dir / "merge_reports.json",
                  json.dumps(all_reports, indent=2, sort_keys=True) + "\n")
     outputs.append("merge_reports.json")
-    cfgmod.write_manifest(out_dir / "manifest.json", "synth", cfg, inputs, outputs)
+    cfgmod.write_manifest(out_dir, "synth", cfg, inputs, outputs)
     return EXIT_OK
 
 
@@ -219,7 +226,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     lines += [f"{e},{repr(v)}" for e, v in enumerate(log.epoch_losses)]
     atomic_write(log_path, "\n".join(lines) + "\n")
     cfgmod.write_manifest(
-        out_dir / "manifest.json", "train", cfg, _input_digests(pairs),
+        out_dir, "train", cfg, _input_digests(pairs),
         [ckpt_path.name, log_path.name],
     )
     return EXIT_OK
@@ -288,7 +295,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     write_histogram_csv(paths["histogram"], po_histogram(p_o, is_outlier))
 
     cfgmod.write_manifest(
-        out_dir / "manifest.json", "eval", cfg, _input_digests(pairs, ckpt_path),
+        out_dir, "eval", cfg, _input_digests(pairs, ckpt_path),
         [p.name for p in paths.values()],
     )
     return EXIT_OK
@@ -313,7 +320,7 @@ def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
         lines.append(f"{name},{repr(err)},{worst},{repr(GRADCHECK_TOLERANCE)},{verdict}")
     atomic_write(report_path, "\n".join(lines) + "\n")
     cfgmod.write_manifest(
-        out_dir / "manifest.json", "gradcheck", cfg, {}, [report_path.name]
+        out_dir, "gradcheck", cfg, {}, [report_path.name]
     )
     return EXIT_OK if all_pass else EXIT_NUMERIC
 
@@ -338,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON run config path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        p.add_argument("--jobs", type=int, default=1, help="parallel scene workers")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="parallel scene workers for genscan, synth and eval; "
+                            "train and gradcheck ignore it")
     return parser
 
 

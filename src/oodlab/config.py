@@ -14,9 +14,10 @@ values in ``__post_init__``, where scan and synthesis also build their
 library config. Angles are degrees, converted by ``ScanSection.build``,
 except the merge's angular windows, which follow SynthesisConfig (radians).
 
-Every command writes a RunManifest JSON next to its outputs: the resolved
-config snapshot, the seed, the artifact version, sha256 digests of the
-inputs, and the output file list. Manifests contain no timestamps, so
+Every command writes a RunManifest JSON, ``<command>.manifest.json``,
+next to its outputs (``write_manifest``): the resolved config snapshot,
+the seed, the artifact version, sha256 digests of the inputs, and the
+output file list. Manifests contain no timestamps, so
 reruns with identical inputs are byte-identical.
 """
 
@@ -291,8 +292,10 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, command: str, cfg: RunConfig, inputs: dict[str, str],
+def write_manifest(directory, command: str, cfg: RunConfig, inputs: dict[str, str],
                    outputs: list[str]) -> None:
+    """Write ``directory/<command>.manifest.json``: each command has its own
+    manifest, so commands sharing a directory keep each other's."""
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "command": command,
@@ -302,4 +305,5 @@ def write_manifest(path, command: str, cfg: RunConfig, inputs: dict[str, str],
         "inputs": dict(sorted(inputs.items())),
         "outputs": sorted(outputs),
     }
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(Path(directory) / f"{command}.manifest.json",
+                 json.dumps(payload, indent=2, sort_keys=True) + "\n")

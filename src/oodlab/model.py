@@ -32,6 +32,13 @@ from .losses import LOSS_MODES, HeadOutput, HeadStats, LossConfig, total_loss
 
 FEATURE_NAMES = ("x", "y", "z", "r", "lat", "lon", "density")
 
+# Points per cKDTree leaf for the density count. On a 2-vCPU Xeon (scipy
+# 1.17), 128-point leaves with sliding-midpoint splits counted 1.0 m balls
+# 1.6-2.1x faster than scipy's 16-point median-split default on 96k-point
+# sweep scans (~1100 neighbours per point) and 1.3-1.5x faster on 4.8k-point
+# desk scenes (~60). Leaves of 64 to 192 points timed within noise of 128.
+DENSITY_LEAFSIZE = 128
+
 CHECKPOINT_MAGIC = b"OODC"
 CHECKPOINT_VERSION = 1
 
@@ -51,9 +58,11 @@ class TrainingDiverged(RuntimeError):
 class FeatureConfig:
     """Which per-point features to emit, in order, plus their divisors.
 
-    ``density`` counts neighbors within ``density_radius`` (self excluded).
-    ``normalizers`` maps feature name -> nonzero divisor; unlisted features
-    pass through unscaled.
+    ``density`` is, per point, the number of other points at Euclidean
+    distance at most ``density_radius``: a point at exactly that distance
+    counts, every duplicate of a point counts, and the point itself does
+    not. ``normalizers`` maps feature name -> nonzero divisor; unlisted
+    features pass through unscaled.
     """
 
     features: tuple[str, ...] = FEATURE_NAMES
@@ -88,7 +97,12 @@ def extract_features(scene: Scene, cfg: FeatureConfig) -> np.ndarray:
         if name in cfg.features:
             columns[name] = scene.points[:, axis]
     if "density" in cfg.features:
-        tree = cKDTree(scene.points)
+        # Shaped for counting, not for scipy's defaults: with 16-point leaves a
+        # ball of ~1000 neighbours costs more in tree walking than in distance
+        # tests, so large leaves scanned straight through are cheaper
+        # (DENSITY_LEAFSIZE). The counts are the same integers either way;
+        # tests/test_model.py checks them against a brute-force oracle.
+        tree = cKDTree(scene.points, leafsize=DENSITY_LEAFSIZE, balanced_tree=False)
         counts = tree.query_ball_point(
             scene.points, cfg.density_radius, return_length=True
         )

@@ -11,7 +11,6 @@ exactly — the property the resizing baseline (also provided here) violates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,14 +280,13 @@ def resize_existing(
 
     Enlarged instances get sparser — the sampling-pattern shortcut the
     asset pipeline exists to avoid. Returns the new scene and the indices
-    of the modified points (empty, with a warning, when the class is
-    absent).
+    of the modified points; they are empty, and the scene an unchanged
+    copy, when the class is absent.
     """
     gen = as_generator(rng)
     mask = scene.labels == target_class
     out = scene.copy()
     if not mask.any():
-        warnings.warn(f"target class {target_class} absent; scene unchanged")
         return out, np.array([], dtype=np.int64)
 
     member_idx = np.flatnonzero(mask)

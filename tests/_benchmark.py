@@ -9,8 +9,6 @@ with the inlier box class in per-point feature space, which is exactly the
 regime where ranking resolution between methods shows up.
 """
 
-import warnings
-
 import numpy as np
 
 from oodlab.core import LabelSpace, RngStream
@@ -127,17 +125,15 @@ def synthesize_splits(scans, run_seed, n_train=N_TRAIN):
     from the held-out family."""
     train_pool, eval_pool = make_asset_pools()
     train_scenes, eval_scenes = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scenes may lack resizable boxes
-        for i, scan in enumerate(scans):
-            gen = RngStream(run_seed, (1 << 32) + i).generator()
-            if i < n_train:
-                scene, _ = resize_existing(scan, 2, SPACE, (1.5, 3.0), gen)
-                scene, _ = synthesize_scene(scene, train_pool, SPACE, SYNTH_CFG, gen)
-                train_scenes.append(scene)
-            else:
-                scene, _ = synthesize_scene(scan, eval_pool, SPACE, SYNTH_CFG, gen)
-                eval_scenes.append(scene)
+    for i, scan in enumerate(scans):
+        gen = RngStream(run_seed, (1 << 32) + i).generator()
+        if i < n_train:
+            scene, _ = resize_existing(scan, 2, SPACE, (1.5, 3.0), gen)
+            scene, _ = synthesize_scene(scene, train_pool, SPACE, SYNTH_CFG, gen)
+            train_scenes.append(scene)
+        else:
+            scene, _ = synthesize_scene(scan, eval_pool, SPACE, SYNTH_CFG, gen)
+            eval_scenes.append(scene)
     return train_scenes, eval_scenes
 
 

@@ -1,7 +1,8 @@
-"""Independent brute-force oracles used by the metric tests and the
-acceptance suite. The AUROC and AUPR oracles deliberately share no code with
-the library implementations they check; the coverage-curve oracle is the
-per-threshold loop over those (separately checked) per-subset metrics."""
+"""Independent brute-force oracles used by the metric and model tests and the
+acceptance suite. The AUROC, AUPR and density oracles deliberately share no
+code with the library implementations they check; the coverage-curve oracle
+is the per-threshold loop over those (separately checked) per-subset
+metrics."""
 
 import numpy as np
 
@@ -70,3 +71,14 @@ def coverage_curves_brute_force(points, num_classes, grid):
         except UndefinedMetricError:
             pass
     return cov, thr, risk, pr, roc
+
+
+def density_brute_force(points, r):
+    """O(n^2) oracle for the ``density`` feature: per point, the number of
+    other points with ``(dx*dx + dy*dy) + dz*dz <= r*r``. Ties at r count,
+    duplicates count, the point itself does not. The squared distance is
+    summed in that order, as cKDTree sums it, so ties at r round alike."""
+    points = np.asarray(points, dtype=np.float64)
+    d = points[:, None, :] - points[None, :, :]
+    sq = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
+    return np.sum(sq <= r * r, axis=1) - 1

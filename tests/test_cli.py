@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import _benchmark
 from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from oodlab.config import ConfigError, RunConfig, load_config
+from oodlab.config import ConfigError, RunConfig, file_digest, load_config
 from oodlab.core import RngStream, Scene
 from oodlab.io import write_scene
 from oodlab.losses import LOSS_MODES, LossConfig
@@ -288,7 +288,7 @@ class TestGenscan:
         for i in range(3):
             assert (scans / f"{i:06d}.bin").exists()
             assert (scans / f"{i:06d}.label").exists()
-        assert (scans / "manifest.json").exists()
+        assert (scans / "genscan.manifest.json").exists()
         first = (scans / "000000.bin").read_bytes()
         # rerun into a fresh tree gives identical bytes
         monkeypatch.chdir(tmp_path)
@@ -369,14 +369,19 @@ class TestSynth:
         cfg = write_config(scan_tree / "s.json", asset_dir="empty")
         assert main(["synth", "--config", cfg]) == EXIT_CONFIG
 
-    def test_resize_mode_missing_class_copies_unchanged(self, scan_tree):
+    def test_resize_mode_missing_class_copies_unchanged(self, scan_tree, capsys):
         # target class 9 never occurs; scenes must come through unchanged
         cfg = write_config(
             scan_tree / "s.json",
             synthesis={"mode": "resize", "resize_target_class": 9},
         )
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(["synth", "--config", cfg]) == EXIT_OK
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {Path('data/scans') / f'{i:06d}.bin'}: target class 9 "
+                       "absent; scene unchanged" for i in range(2)]
         src = (scan_tree / "data/scans/000000.bin").read_bytes()
         dst = (scan_tree / "data/synth/000000.bin").read_bytes()
         assert src == dst
@@ -384,6 +389,25 @@ class TestSynth:
     def test_both_mode_runs(self, scan_tree):
         cfg = write_config(scan_tree / "s.json", synthesis={"mode": "both"})
         assert main(["synth", "--config", cfg]) == EXIT_OK
+
+
+def test_every_command_keeps_its_manifest(scan_tree):
+    cfg = write_config(scan_tree / "c.json", scan_count=2, scan=tiny_scan_section(),
+                       features={"features": ["z", "density"]},
+                       train={"loss_mode": "ce", "epochs": 1, "hidden_sizes": [8]},
+                       gradcheck={"instances": 2, "max_points": 8})
+    for command in ("genscan", "synth", "train", "eval", "gradcheck"):
+        assert main([command, "--config", cfg, "--force"]) == EXIT_OK
+    where = {"genscan": "data/scans", "synth": "data/synth", "train": "out",
+             "eval": "out", "gradcheck": "out"}
+    for command, directory in where.items():
+        manifest = json.loads((scan_tree / directory / f"{command}.manifest.json").read_text())
+        assert manifest["command"] == command
+    train = json.loads((scan_tree / "out/train.manifest.json").read_text())
+    synth = scan_tree / "data/synth"
+    assert train["inputs"] == {f.name: file_digest(f) for f in sorted(synth.glob("000*"))}
+    assert train["outputs"] == ["model.ckpt", "train_log.csv"]
+    assert not list(scan_tree.rglob("manifest.json"))
 
 
 def make_perfect_fixture(tmp_path, n_outlier=8):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodlab.core import LabelSpace, RngStream, Scene
 from oodlab.io import FormatError
@@ -26,6 +28,7 @@ from oodlab.model import (
 )
 
 from conftest import head_of
+from oracles import density_brute_force
 
 
 def flat_scene(n=20, z=0.0):
@@ -77,6 +80,58 @@ class TestExtractFeatures:
             FeatureConfig(normalizers={"densty": 10.0})
         with pytest.raises(ValueError, match=r"normalizers\['x'\]"):
             FeatureConfig(features=("z",), normalizers={"x": 20.0})
+
+
+def density_column(points, r):
+    scene = Scene(points=points, labels=np.ones(len(points), dtype=int))
+    return extract_features(scene, FeatureConfig(features=("density",), density_radius=r))[:, 0]
+
+
+def lattice(spacing, n=10):
+    axis = np.arange(n) * spacing
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestDensityMatchesBruteForce:
+    """The density column against ``oracles.density_brute_force``, on inputs
+    with points at exactly distance r, duplicates, and enough points per ball
+    that whole tree nodes fall inside it."""
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.3, 0.1])
+    @pytest.mark.parametrize("offset", [0.0, 7.3])
+    def test_lattice_ties_at_r(self, spacing, offset):
+        points = lattice(spacing) + offset
+        want = density_brute_force(points, spacing)
+        assert want.max() == 6  # the six axis neighbours, at r up to rounding
+        assert np.array_equal(density_column(points, spacing), want)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_float32_rounded_cloud(self, r, seed):
+        gen = RngStream(seed, 0).generator()
+        points = gen.uniform(-2.0, 2.0, size=(1000, 3)).astype(np.float32).astype(np.float64)
+        assert np.array_equal(density_column(points, r), density_brute_force(points, r))
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+    def test_quarter_grid_cloud_with_duplicates(self, r):
+        gen = RngStream(2, 0).generator()
+        points = np.round(gen.uniform(-1.5, 1.5, size=(1000, 3)) * 4.0) / 4.0
+        assert len(np.unique(points, axis=0)) < len(points)
+        assert np.array_equal(density_column(points, r), density_brute_force(points, r))
+
+    def test_single_point(self):
+        assert density_column(np.array([[1.0, 2.0, 3.0]]), 1.0).tolist() == [0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        coords=st.lists(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
+                                  st.floats(-2.0, 2.0)),
+                        min_size=3, max_size=600),
+        r=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 4.0)),
+    )
+    def test_property(self, coords, r):
+        points = np.array(coords[:len(coords) // 3 * 3]).reshape(-1, 3)
+        assert np.array_equal(density_column(points, r), density_brute_force(points, r))
 
 
 class TestForward:
