@@ -177,7 +177,7 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
     for (bin_path, label_path), (scene, reports, resized) in zip(pairs, results):
         if resized is not None and resized.size == 0:
             print(f"warning: {bin_path}: target class "
-                  f"{cfg.synthesis.resize_target_class} absent; scene unchanged",
+                  f"{cfg.synthesis.resize_target_class} absent; nothing resized",
                   file=sys.stderr)
         write_scene(scene, out_dir / bin_path.name, out_dir / label_path.name)
         outputs += [bin_path.name, label_path.name]
@@ -276,7 +276,11 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
         print("warning: eval set contains no outlier points; AUPR/AUROC are NA",
               file=sys.stderr)
 
-    miou = miou_old(pred, truth, space.num_classes)
+    try:
+        miou = repr(miou_old(pred, truth, space.num_classes))
+    except UndefinedMetricError:
+        print("warning: eval set contains no inlier points; miou_old is NA", file=sys.stderr)
+        miou = "NA"
     lines = ["score,aupr,auroc,miou_old"]
     for name, scores in (("p_o", p_o), ("msp", msp), ("maxlogit", maxlogit)):
         try:
@@ -284,7 +288,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
             roc = repr(auroc(scores, is_outlier))
         except UndefinedMetricError:
             pr, roc = "NA", "NA"
-        lines.append(f"{name},{pr},{roc},{repr(miou)}")
+        lines.append(f"{name},{pr},{roc},{miou}")
     out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(paths["summary"], "\n".join(lines) + "\n")
 

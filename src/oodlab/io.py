@@ -126,10 +126,12 @@ def read_scene(path_points, path_labels) -> Scene:
         raise FormatError(f"{path_labels}: {n_labels} labels for {n} points")
     records = np.fromfile(path_points, dtype="<f4").reshape(-1, 4)
     labels_raw = np.fromfile(path_labels, dtype="<u4")
+    # casting a signalling NaN warns; Scene rejects non-finite points itself
+    with np.errstate(invalid="ignore"):
+        points, intensity = records[:, :3].astype(np.float64), records[:, 3].astype(np.float64)
     try:
-        return Scene(points=records[:, :3].astype(np.float64),
-                     labels=(labels_raw & SEMANTIC_MASK).astype(np.int64),
-                     intensity=records[:, 3].astype(np.float64))
+        return Scene(points=points, labels=(labels_raw & SEMANTIC_MASK).astype(np.int64),
+                     intensity=intensity)
     except ValueError as exc:
         raise FormatError(f"{path_points}: {exc}") from exc
 

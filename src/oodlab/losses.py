@@ -29,12 +29,13 @@ Hinge and payoff subgradients at a kink are 0.
 the abstain term, weighted by ``LossConfig.weight_abstain``, plus the
 static or the dynamic penalty at weight 1, or the calibration-CE baseline
 (``cce_loss``) with its calibration term at weight 1 or 0. The abstain
-family has one path, ``_objective``: ``abstain_loss``, ``penalty_loss``,
-``dynamic_penalty_loss`` and both abstain modes of ``total_loss`` each
-call it with their own term weights.
+family has one straight-line path, ``_objective``: weight_abstain * abstain
+plus weight_penalty * a hinge on one threshold per point type, fixed for the
+static penalty and beta times the margins for the dynamic one. The abstain
+family's public losses differ only in the weights and beta they pass.
 
-Batching over scenes is the trainer's job (mean of per-scene means), so the
-values here are plain means over the scene's points.
+The trainer steps on one scene at a time, so the values here are plain
+means over one scene's points.
 """
 
 from __future__ import annotations
@@ -279,63 +280,60 @@ def _abstain(st: HeadStats, labels):
     return values, grad
 
 
-def _penalty(st: HeadStats, labels, space: LabelSpace, beta):
-    """Hinges of alpha against per-type thresholds: inliers pay alpha - t_in
-    above t_in, resized and asset outliers t_k - alpha below t_k.
-
-    With ``beta`` None this is the static penalty, thresholds
-    (m_in, m_out, m_out); otherwise the dynamic one, thresholds
-    beta * (m_in, m_rout, m_sout), with its prior (``dynamic_penalty_loss``).
-    Returns the per-point values, the (n, c) gradient wrt the inlier logits,
-    the prior and the gradient wrt beta (None when static), all unscaled.
+def _penalty(st: HeadStats, labels, space: LabelSpace, thresholds):
+    """Hinges of alpha against the per-type ``thresholds`` (t_in, t_rout,
+    t_sout): inliers pay alpha - t_in above t_in, resized and asset outliers
+    t_k - alpha below t_k. Returns the per-point values and (n, c) gradient
+    wrt the inlier logits, unscaled, and per type the point count and the
+    count of active hinges.
     """
-    m_in, m_out, m_rout, m_sout = margins(space.num_classes)
     inlier = labels <= space.num_classes
     types = np.where(inlier, 0, np.where(labels == space.resized_outlier, 1, 2))
     sign = np.where(inlier, 1.0, -1.0)
-    m = np.array([m_in, m_out, m_out] if beta is None else [m_in, m_rout, m_sout])
-    excess = sign * (st.alpha - (m if beta is None else beta * m)[types])
+    excess = sign * (st.alpha - thresholds[types])
     active = excess > 0.0
     values = np.where(active, excess, 0.0)
     # d(alpha)/d(yhat_j) = -s_j
     grad = -(sign * active)[:, None] * st.s
-    if beta is None:
-        return values, grad, 0.0, None
-    # the hinge's beta gradient: d(t_in - alpha)/d(beta_in) = m_in for
-    # inliers, d(alpha - t_k)/d(beta_k) = -m_k for outliers
-    grad_beta = np.array([-1.0, 1.0, 1.0]) * m * np.bincount(types[active], minlength=3)
-    # quadratic prior (lambda / 2) sum_k n_k |m_k| (beta_k - 1)^2
-    weight = BETA_PRIOR * np.bincount(types, minlength=3) * np.abs(m)
-    prior = 0.5 * float(np.sum(weight * (beta - 1.0) ** 2))
-    return values, grad, prior, grad_beta + weight * (beta - 1.0)
+    return (values, grad, np.bincount(types, minlength=3),
+            np.bincount(types[active], minlength=3))
 
 
-def _objective(head: HeadOutput, labels, space: LabelSpace, weight_abstain, penalty: bool,
-               beta=None) -> LossResult:
+def _objective(head: HeadOutput, labels, space: LabelSpace, weight_abstain: float,
+               weight_penalty: float, beta=None) -> LossResult:
     """The one path of the abstain-family objectives: the mean over the
-    scene's points of weight_abstain * abstain (left out when
-    ``weight_abstain`` is None) plus, with ``penalty``, the static penalty
-    (``beta`` None) or the dynamic one, whose prior is added divided by n.
+    scene's points of weight_abstain * abstain + weight_penalty * penalty.
+
+    Without ``beta`` the penalty is the static one, thresholds
+    (m_in, m_out, m_out); with it, the dynamic one, thresholds
+    beta * (m_in, m_rout, m_sout), plus its prior divided by n
+    (``dynamic_penalty_loss``), and the result carries ``grad_beta``.
     """
     n, c = head.num_points, head.num_classes
     labels = _check_labels(labels, space, n)
     beta = None if beta is None else np.asarray(beta, dtype=np.float64)
     if beta is not None and beta.shape != (3,):
         raise ValueError("beta must have shape (3,)")
+    m_in, m_out, m_rout, m_sout = margins(space.num_classes)
+    m = np.array([m_in, m_rout, m_sout])
+    thresholds = np.array([m_in, m_out, m_out]) if beta is None else beta * m
     st = softmax_head(head)
-    if weight_abstain is None:
-        values, grad = np.zeros(n), np.zeros((n, c + 1))
-    else:
-        values, grad = _abstain(st, labels)
-        values *= weight_abstain
-        grad *= weight_abstain
-    prior, grad_beta = 0.0, None
-    if penalty:
-        pen, pen_grad, prior, grad_beta = _penalty(st, labels, space, beta)
-        values += pen
-        grad[:, :c] += pen_grad
-    return LossResult(float(values.mean()) + prior / n, grad / n,
-                      None if grad_beta is None else grad_beta / n)
+    values, grad = _abstain(st, labels)
+    values *= weight_abstain
+    grad *= weight_abstain
+    pen, pen_grad, counts, active = _penalty(st, labels, space, thresholds)
+    values += weight_penalty * pen
+    grad[:, :c] += weight_penalty * pen_grad
+    if beta is None:
+        return LossResult(float(values.mean()), grad / n)
+    # the hinge's beta gradient: d(t_in - alpha)/d(beta_in) = m_in for
+    # inliers, d(alpha - t_k)/d(beta_k) = -m_k for outliers; and the
+    # quadratic prior (lambda / 2) sum_k n_k |m_k| (beta_k - 1)^2
+    weight = BETA_PRIOR * counts * np.abs(m)
+    prior = 0.5 * float(np.sum(weight * (beta - 1.0) ** 2))
+    grad_beta = np.array([-1.0, 1.0, 1.0]) * m * active + weight * (beta - 1.0)
+    return LossResult(float(values.mean()) + weight_penalty * prior / n, grad / n,
+                      weight_penalty * grad_beta / n)
 
 
 def abstain_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
@@ -347,13 +345,13 @@ def abstain_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
     are floored at the smallest positive double so the value stays finite
     for any finite logits, with the gradient gated off at the floor.
     """
-    return _objective(head, labels, space, 1.0, False)
+    return _objective(head, labels, space, 1.0, 0.0)
 
 
 def penalty_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
     """Static point-wise penalty: hinge alpha below m_in for inliers,
     above m_out for outliers (both outlier labels)."""
-    return _objective(head, labels, space, None, True)
+    return _objective(head, labels, space, 0.0, 1.0)
 
 
 def dynamic_penalty_loss(head: HeadOutput, labels, space: LabelSpace, beta) -> LossResult:
@@ -373,7 +371,7 @@ def dynamic_penalty_loss(head: HeadOutput, labels, space: LabelSpace, beta) -> L
     """
     if beta is None:
         raise ValueError("beta must have shape (3,)")
-    return _objective(head, labels, space, None, True, beta)
+    return _objective(head, labels, space, 0.0, 1.0, beta)
 
 
 def total_loss(
@@ -401,7 +399,7 @@ def total_loss(
         beta = None
     elif beta is None:
         raise ValueError("abstain+dynamic mode requires beta")
-    return _objective(head, labels, space, cfg.weight_abstain, True, beta)
+    return _objective(head, labels, space, cfg.weight_abstain, 1.0, beta)
 
 
 def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.0) -> LossResult:

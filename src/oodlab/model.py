@@ -215,6 +215,9 @@ def backward(params: MlpParams, acts: list[np.ndarray], grad_logits: np.ndarray,
 class TrainConfig:
     """SGD settings.
 
+    Each SGD step is one scene. ``scenes_per_batch`` must be 1; it remains
+    only because the benchmark's frozen recipe sets it.
+
     ``beta_lr_scale`` multiplies the learning rate for the margin weights
     beta only. The dynamic penalty's prior gives beta a finite optimum
     (``losses.dynamic_penalty_loss``), so the scale sets only how fast beta
@@ -248,8 +251,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.scenes_per_batch < 1:
-            raise ValueError("scenes_per_batch must be >= 1")
+        if self.scenes_per_batch != 1:
+            raise ValueError("scenes_per_batch must be 1: each SGD step is one scene")
         if not self.beta_lr_scale >= 0:
             raise ValueError("beta_lr_scale must be >= 0")
         self.hidden_sizes = tuple(self.hidden_sizes)
@@ -271,8 +274,9 @@ def train(
     loss_cfg: LossConfig,
     rng=None,
 ) -> tuple[MlpParams, np.ndarray, TrainLog]:
-    """Plain SGD on the selected objective; beta rides the same steps in
-    dynamic mode. Deterministic given (scenes, configs, seed).
+    """Plain SGD on the selected objective, one scene per step in a seeded
+    order each epoch; beta steps too whenever the loss returns its gradient
+    (abstain+dynamic). Deterministic given (scenes, configs, seed).
 
     Raises ValueError on a label outside ``space`` or, in a loss mode other
     than plain "ce", on a dataset without outlier-labelled points; raises
@@ -309,42 +313,28 @@ def train(
     for epoch in range(train_cfg.epochs):
         order = gen.permutation(len(scenes))
         epoch_values = []
-        for start in range(0, len(order), train_cfg.scenes_per_batch):
-            batch = order[start:start + train_cfg.scenes_per_batch]
-            acc_w = [np.zeros_like(w) for w in params.weights]
-            acc_b = [np.zeros_like(b) for b in params.biases]
-            acc_beta = np.zeros(3)
-            batch_value = 0.0
-            for i in batch:
-                # an overflow here is caught by HeadOutput's finiteness check
-                with np.errstate(over="ignore", invalid="ignore"):
-                    logits, acts = _forward_cache(feats[i], params, act_bufs)
-                try:  # the shapes are right by construction: only NaN/inf fail
-                    head = HeadOutput(logits)
-                except ValueError:
-                    raise TrainingDiverged(epoch, last_good) from None
-                res = total_loss(head, labels[i], space, loss_cfg, mode, beta)
-                gw, gb = backward(params, acts, res.grad, delta_bufs)
-                for k in range(len(acc_w)):
-                    acc_w[k] += gw[k]
-                    acc_b[k] += gb[k]
-                if res.grad_beta is not None:
-                    acc_beta += res.grad_beta
-                batch_value += res.value
-            scale = 1.0 / len(batch)
-            batch_value *= scale
-            if not np.isfinite(batch_value):
+        for i in order:
+            # an overflow here is caught by HeadOutput's finiteness check
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits, acts = _forward_cache(feats[i], params, act_bufs)
+            try:  # the shapes are right by construction: only NaN/inf fail
+                head = HeadOutput(logits)
+            except ValueError:
+                raise TrainingDiverged(epoch, last_good) from None
+            res = total_loss(head, labels[i], space, loss_cfg, mode, beta)
+            if not np.isfinite(res.value):
                 raise TrainingDiverged(epoch, last_good)
+            gw, gb = backward(params, acts, res.grad, delta_bufs)
             # an overflow here is caught by the finiteness check after the epoch
             with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(len(acc_w)):
-                    params.weights[k] -= lr * scale * acc_w[k]
-                    params.biases[k] -= lr * scale * acc_b[k]
-                if mode == "abstain+dynamic":
-                    beta = beta - lr * train_cfg.beta_lr_scale * scale * acc_beta
+                for k in range(len(gw)):
+                    params.weights[k] -= lr * gw[k]
+                    params.biases[k] -= lr * gb[k]
+                if res.grad_beta is not None:  # abstain+dynamic
+                    beta = beta - lr * train_cfg.beta_lr_scale * res.grad_beta
                     if loss_cfg.clamp_beta:
                         beta = np.maximum(beta, 0.0)
-            epoch_values.append(batch_value)
+            epoch_values.append(res.value)
         if not all(np.isfinite(a).all() for a in (*params.weights, *params.biases, beta)):
             raise TrainingDiverged(epoch, last_good)
         log.epoch_losses.append(float(np.mean(epoch_values)))

@@ -98,6 +98,7 @@ class TestConfig:
         ({"features": {"normalizers": {"z": "x"}}}, "features: normalizers['z']"),
         ({"features": {"normalizers": {"densty": 10.0}}}, "features: normalizers['densty']"),
         ({"train": {"hidden_sizes": [0]}}, "train: hidden_sizes must all be >= 1"),
+        ({"train": {"scenes_per_batch": 2}}, "train: scenes_per_batch must be 1"),
     ])
     def test_invalid_library_section_named(self, tmp_path, monkeypatch, capsys,
                                            data, message):
@@ -381,7 +382,7 @@ class TestSynth:
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
         err = capsys.readouterr().err.splitlines()
         assert err == [f"warning: {Path('data/scans') / f'{i:06d}.bin'}: target class 9 "
-                       "absent; scene unchanged" for i in range(2)]
+                       "absent; nothing resized" for i in range(2)]
         src = (scan_tree / "data/scans/000000.bin").read_bytes()
         dst = (scan_tree / "data/synth/000000.bin").read_bytes()
         assert src == dst
@@ -389,6 +390,20 @@ class TestSynth:
     def test_both_mode_runs(self, scan_tree):
         cfg = write_config(scan_tree / "s.json", synthesis={"mode": "both"})
         assert main(["synth", "--config", cfg]) == EXIT_OK
+
+    def test_both_mode_missing_class_still_places_assets(self, scan_tree, capsys):
+        # nothing is resized, yet the asset pipeline still merges objects
+        cfg = write_config(
+            scan_tree / "s.json",
+            synthesis={"mode": "both", "resize_target_class": 9,
+                       "object_count_trials": 10, "object_count_prob": 1.0},
+        )
+        assert main(["synth", "--config", cfg]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"warning: {Path('data/scans') / f'{i:06d}.bin'}: target class 9 "
+                       "absent; nothing resized" for i in range(2)]
+        reports = json.loads((scan_tree / "data/synth/merge_reports.json").read_text())
+        assert all(reports[f"{i:06d}"] for i in range(2))
 
 
 def test_every_command_keeps_its_manifest(scan_tree):
@@ -488,6 +503,22 @@ class TestEval:
         assert "no outlier points" in capsys.readouterr().err
         rows = (tmp_path / "out/summary.csv").read_text().splitlines()
         assert rows[1].split(",")[1] == "NA"
+
+    def test_no_inliers_gives_na_miou_and_warning(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, ckpt = make_perfect_fixture(tmp_path)
+        for f in scenes_dir.iterdir():
+            f.unlink()
+        gen = RngStream(7, 0).generator()
+        pts = np.column_stack([gen.uniform(-10, 10, 50), gen.uniform(-10, 10, 50),
+                               np.full(50, 5.0)])
+        write_scene(Scene(points=pts, labels=np.full(50, 4)),
+                    scenes_dir / "000000.bin", scenes_dir / "000000.label")
+        cfg = self.eval_config(tmp_path, scenes_dir, ckpt)
+        assert main(["eval", "--config", cfg]) == EXIT_OK
+        assert "warning: eval set contains no inlier points" in capsys.readouterr().err
+        rows = (tmp_path / "out/summary.csv").read_text().splitlines()
+        assert [row.split(",")[3] for row in rows[1:]] == ["NA"] * 3
 
     def test_missing_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oodlab
 from oodlab.core import RngStream, Scene, to_spherical
@@ -100,11 +102,40 @@ class TestSceneFiles:
         with pytest.raises(FormatError, match="a.bin: scene points must be finite"):
             read_scene(tmp_path / "a.bin", tmp_path / "a.label")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_signalling_nan_read_without_warning(self, tmp_path):
+        snan = struct.pack("<I", 0x7F800001)  # float32 signalling NaN
+        (tmp_path / "a.label").write_bytes(struct.pack("<I", 1))
+        (tmp_path / "a.bin").write_bytes(struct.pack("<3f", 1, 2, 3) + snan)
+        assert np.isnan(read_scene(tmp_path / "a.bin", tmp_path / "a.label").intensity[0])
+        (tmp_path / "a.bin").write_bytes(snan + struct.pack("<3f", 2, 3, 0))
+        with pytest.raises(FormatError, match="a.bin: scene points must be finite"):
+            read_scene(tmp_path / "a.bin", tmp_path / "a.label")
+
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(struct.pack("<8f", *range(8)))
         (tmp_path / "a.label").write_bytes(struct.pack("<I", 1))
         with pytest.raises(FormatError):
             read_scene(tmp_path / "a.bin", tmp_path / "a.label")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_arbitrary_bytes_load_or_format_error(self, tmp_path_factory, data, n):
+        # whole records of arbitrary bytes (NaN and inf coordinates, any
+        # label word) or byte strings of any length
+        points = data.draw(st.binary(min_size=16 * n, max_size=16 * n) | st.binary(max_size=100))
+        labels = data.draw(st.binary(min_size=4 * n, max_size=4 * n) | st.binary(max_size=30))
+        base = tmp_path_factory.getbasetemp()
+        (base / "fuzzed.bin").write_bytes(points)
+        (base / "fuzzed.label").write_bytes(labels)
+        try:
+            scene = read_scene(base / "fuzzed.bin", base / "fuzzed.label")
+        except FormatError:
+            return
+        assert scene.num_points == len(points) // 16 == len(labels) // 4
+        assert np.all(np.isfinite(scene.points))
+        assert np.all((scene.labels >= 0) & (scene.labels <= 0xFFFF))
 
     def test_unwritable_path(self, tmp_path):
         scene = make_scene(2)

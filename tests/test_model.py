@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oodlab.core import LabelSpace, RngStream, Scene
 from oodlab.io import FormatError
-from oodlab.losses import HeadOutput, LossConfig, cce_loss, softmax_head
+from oodlab.losses import LOSS_MODES, HeadOutput, LossConfig, cce_loss, softmax_head, total_loss
 from oodlab.model import (
     CHECKPOINT_MAGIC,
     FeatureConfig,
@@ -296,9 +296,45 @@ class TestTrain:
         scenes = blob_scenes()
         for s in scenes:
             s.labels[-8:] = 4
-        cfg = TrainConfig(epochs=1, loss_mode="abstain+static", hidden_sizes=(8,))
-        _, beta, _ = train(scenes, LabelSpace(2), self.FEATS, cfg, LossConfig())
-        assert np.array_equal(beta, np.ones(3))
+        for mode in ("abstain+static", "ce+cce", "ce"):
+            cfg = TrainConfig(epochs=1, loss_mode=mode, hidden_sizes=(8,))
+            _, beta, _ = train(scenes, LabelSpace(2), self.FEATS, cfg, LossConfig())
+            assert np.array_equal(beta, np.ones(3)), mode
+
+    @pytest.mark.parametrize("mode", LOSS_MODES)
+    def test_one_scene_one_epoch_is_one_sgd_step(self, mode):
+        # one step on the only scene: the seeded init minus lr times the
+        # backward pass of total_loss's gradient, bit for bit
+        scene = blob_scenes(n_scenes=1)[0]
+        scene.labels[-8:] = 4
+        scene.labels[-16:-8] = 3
+        space, lr = LabelSpace(2), 0.03
+        cfg = TrainConfig(learning_rate=lr, epochs=1, loss_mode=mode, hidden_sizes=(8, 4),
+                          seed=5, outlier_bias_init=-1.0, beta_lr_scale=0.5)
+        loss_cfg = LossConfig(weight_abstain=0.7)
+        params, beta, log = train([scene], space, self.FEATS, cfg, loss_cfg)
+
+        init = init_params([3, 8, 4, 3], RngStream(5))
+        init.biases[-1][2] += -1.0
+        logits, acts = _forward_cache(extract_features(scene, self.FEATS), init)
+        res = total_loss(HeadOutput(logits), scene.labels, space, loss_cfg, mode, np.ones(3))
+        gw, gb = backward(init, acts, res.grad)
+        for got, start, grad in zip(params.weights + params.biases,
+                                    init.weights + init.biases, gw + gb):
+            assert np.array_equal(got, start - lr * grad)
+        if mode == "abstain+dynamic":
+            assert np.array_equal(beta, np.ones(3) - lr * 0.5 * res.grad_beta)
+            assert not np.array_equal(beta, np.ones(3))
+        else:
+            assert res.grad_beta is None and np.array_equal(beta, np.ones(3))
+        assert log.epoch_losses == [res.value]
+
+    def test_step_is_one_scene(self):
+        assert TrainConfig(scenes_per_batch=1).scenes_per_batch == 1
+        for bad in (0, 2, 40):
+            with pytest.raises(ValueError, match="scenes_per_batch must be 1: each SGD "
+                                                 "step is one scene"):
+                TrainConfig(scenes_per_batch=bad)
 
     def test_bitwise_determinism(self):
         scenes = blob_scenes()
@@ -445,6 +481,34 @@ class TestCheckpoint:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=r"92 bytes, layer sizes \(3, 2\) imply 108"):
             load_checkpoint(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_bytes_load_or_format_error(self, tmp_path_factory, data):
+        # mostly well-formed headers over arbitrary payloads, so that the
+        # checks past the magic are reached, and sometimes any bytes at all
+        word = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+        n_layers = data.draw(st.integers(0, 3) | st.integers(0, 2**32 - 1))
+        sizes = data.draw(st.lists(word, min_size=min(n_layers + 1, 5),
+                                   max_size=min(n_layers + 1, 5)))
+        magic = data.draw(st.just(CHECKPOINT_MAGIC) | st.binary(min_size=4, max_size=4))
+        header = magic + struct.pack(f"<II{len(sizes)}I", data.draw(st.just(1) | word),
+                                     n_layers, *sizes)
+        floats = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])) + 3
+        payload = data.draw(st.binary(min_size=8 * floats, max_size=8 * floats)
+                            if floats <= 64 else st.binary(max_size=64))
+        blob = data.draw(st.just(header + payload) | st.binary(max_size=120)
+                         | st.binary(max_size=len(header + payload)).map(
+                             lambda cut: (header + payload)[:len(cut)]))
+        path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+        path.write_bytes(blob)
+        try:
+            params, beta = load_checkpoint(path)
+        except FormatError:
+            return
+        assert beta.shape == (3,) and params.layer_sizes == list(sizes)
+        assert all(np.all(np.isfinite(a)) for a in (*params.weights, *params.biases))
 
     def test_non_finite_parameters_rejected(self, tmp_path):
         path = tmp_path / "nan.ckpt"
