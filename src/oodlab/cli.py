@@ -2,11 +2,11 @@
 
 Subcommands: genscan | synth | train | eval | gradcheck. Common flags:
 --config PATH (JSON run config), --seed N (override), --force (overwrite
-existing outputs), --jobs N (scene-level threads for genscan, synth and
-eval, default 1; train and gradcheck accept it and run on one). Exit
-codes: 0 success, 2 config error, 3 output collision, 4 numeric failure, 5
-malformed data file (a scene, asset or checkpoint; the message names the
-file).
+existing outputs), --jobs N (scene-level threads for genscan, synth,
+eval and train's feature extraction, default 1; gradcheck accepts it and
+runs on one). Exit codes: 0 success, 2 config error, 3 output collision,
+4 numeric failure, 5 malformed data file (a scene, asset or checkpoint;
+the message names the file).
 ``config.load_config`` checks the whole config before any command runs,
 so a bad value in any section exits 2 for every command, as do inputs
 that contradict the config and a scan section that casts no returns.
@@ -208,6 +208,10 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     log_path = out_dir / "train_log.csv"
     _check_collisions([ckpt_path, log_path], force)
 
+    if jobs > 1:
+        # count each scene's neighbours into its memo on the threads, so
+        # train reads the counts back (model.FeatureConfig)
+        _parallel(lambda s: extract_features(s, cfg.features), scenes, jobs)
     try:
         params, beta, log = train(
             scenes, space, cfg.features, cfg.train, cfg.loss,
@@ -350,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel scene workers for genscan, synth and eval; "
-                            "train and gradcheck ignore it")
+                       help="parallel scene workers for genscan, synth, eval and "
+                            "train's feature extraction; gradcheck ignores it")
     return parser
 
 

@@ -12,7 +12,7 @@ Conventions shared by every module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,11 +82,21 @@ class LabelSpace:
 
 @dataclass
 class Scene:
-    """One LiDAR sweep: per-point coordinates, labels, optional intensity."""
+    """One LiDAR sweep: per-point coordinates, labels, optional intensity.
+
+    ``model.extract_features`` keeps the scene's density column in a private
+    memo, one entry per density radius, each checked against a digest of
+    ``points`` on every use, so mutating or reassigning ``points`` never
+    yields stale counts. The memo takes no part in equality or ``repr``,
+    and ``copy()`` starts with an empty one.
+    """
 
     points: np.ndarray
     labels: np.ndarray
     intensity: np.ndarray | None = None
+    # {density radius: (points digest, read-only density column)}
+    _density_memo: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -106,6 +116,8 @@ class Scene:
             self.intensity = np.asarray(self.intensity, dtype=np.float64)
             if self.intensity.shape != (n,):
                 raise ValueError("intensity length must match point count")
+            if not np.all(np.isfinite(self.intensity)):
+                raise ValueError("intensity must be finite")
 
     @property
     def num_points(self) -> int:

@@ -118,7 +118,7 @@ def read_scene(path_points, path_labels) -> Scene:
     """Read a point/label file pair into a Scene.
 
     Raises FormatError on a file that is not a whole number of records, a
-    point/label count mismatch, or a non-finite coordinate.
+    point/label count mismatch, or a non-finite coordinate or intensity.
     """
     n = _record_count(path_points, POINT_RECORD_BYTES, "point")
     n_labels = _record_count(path_labels, LABEL_RECORD_BYTES, "label")
@@ -126,7 +126,7 @@ def read_scene(path_points, path_labels) -> Scene:
         raise FormatError(f"{path_labels}: {n_labels} labels for {n} points")
     records = np.fromfile(path_points, dtype="<f4").reshape(-1, 4)
     labels_raw = np.fromfile(path_labels, dtype="<u4")
-    # casting a signalling NaN warns; Scene rejects non-finite points itself
+    # casting a signalling NaN warns; Scene rejects non-finite values itself
     with np.errstate(invalid="ignore"):
         points, intensity = records[:, :3].astype(np.float64), records[:, 3].astype(np.float64)
     try:

@@ -318,9 +318,16 @@ def _objective(head: HeadOutput, labels, space: LabelSpace, weight_abstain: floa
     m = np.array([m_in, m_rout, m_sout])
     thresholds = np.array([m_in, m_out, m_out]) if beta is None else beta * m
     st = softmax_head(head)
-    values, grad = _abstain(st, labels)
-    values *= weight_abstain
-    grad *= weight_abstain
+    # a term at weight 0 is not computed at all
+    if weight_abstain:
+        values, grad = _abstain(st, labels)
+        values *= weight_abstain
+        grad *= weight_abstain
+    else:
+        values, grad = np.zeros(n), np.zeros((n, c + 1))
+    if not weight_penalty:
+        return LossResult(float(values.mean()), grad / n,
+                          None if beta is None else np.zeros(3))
     pen, pen_grad, counts, active = _penalty(st, labels, space, thresholds)
     values += weight_penalty * pen
     grad[:, :c] += weight_penalty * pen_grad

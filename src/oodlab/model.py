@@ -20,6 +20,7 @@ Checkpoint layout (all little-endian):
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -63,6 +64,10 @@ class FeatureConfig:
     counts, every duplicate of a point counts, and the point itself does
     not. ``normalizers`` maps feature name -> nonzero divisor; unlisted
     features pass through unscaled.
+
+    The density column is counted once per Scene and ``density_radius``:
+    ``extract_features`` keeps it on the Scene and reuses it while a digest
+    of the scene's points still matches. ``Scene.copy()`` carries no counts.
     """
 
     features: tuple[str, ...] = FEATURE_NAMES
@@ -86,8 +91,32 @@ class FeatureConfig:
                 raise ValueError(f"normalizers[{name!r}] must be a nonzero number")
 
 
+def _density_column(scene: Scene, radius: float) -> np.ndarray:
+    """Per point, the count of other points within ``radius`` (as float64),
+    from the scene's memo when its points are unchanged since the count."""
+    points = np.ascontiguousarray(scene.points, dtype=np.float64)
+    sha = hashlib.sha256(repr(points.shape).encode())
+    sha.update(points)
+    digest = sha.digest()
+    memo = scene._density_memo.get(radius)
+    if memo is not None and memo[0] == digest:
+        return memo[1]
+    # Shaped for counting, not for scipy's defaults: with 16-point leaves a
+    # ball of ~1000 neighbours costs more in tree walking than in distance
+    # tests, so large leaves scanned straight through are cheaper
+    # (DENSITY_LEAFSIZE). The counts are the same integers either way;
+    # tests/test_model.py checks them against a brute-force oracle.
+    tree = cKDTree(points, leafsize=DENSITY_LEAFSIZE, balanced_tree=False)
+    column = tree.query_ball_point(points, radius, return_length=True) - 1.0
+    column.flags.writeable = False
+    scene._density_memo[radius] = (digest, column)
+    return column
+
+
 def extract_features(scene: Scene, cfg: FeatureConfig) -> np.ndarray:
-    """(n, d) feature matrix in the configured order."""
+    """(n, d) feature matrix in the configured order, a fresh array on every
+    call; the density column is counted once per Scene and radius
+    (``FeatureConfig``)."""
     columns = {}
     need_sph = {"r", "lat", "lon"} & set(cfg.features)
     if need_sph:
@@ -97,16 +126,7 @@ def extract_features(scene: Scene, cfg: FeatureConfig) -> np.ndarray:
         if name in cfg.features:
             columns[name] = scene.points[:, axis]
     if "density" in cfg.features:
-        # Shaped for counting, not for scipy's defaults: with 16-point leaves a
-        # ball of ~1000 neighbours costs more in tree walking than in distance
-        # tests, so large leaves scanned straight through are cheaper
-        # (DENSITY_LEAFSIZE). The counts are the same integers either way;
-        # tests/test_model.py checks them against a brute-force oracle.
-        tree = cKDTree(scene.points, leafsize=DENSITY_LEAFSIZE, balanced_tree=False)
-        counts = tree.query_ball_point(
-            scene.points, cfg.density_radius, return_length=True
-        )
-        columns["density"] = counts.astype(np.float64) - 1.0
+        columns["density"] = _density_column(scene, cfg.density_radius)
     out = np.stack(
         [columns[name] / cfg.normalizers.get(name, 1.0) for name in cfg.features],
         axis=1,

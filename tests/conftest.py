@@ -27,6 +27,19 @@ class ScriptedRng:
         return np.full(size, v) if size is not None else v
 
 
+def blob_scenes(n_scenes=4, n=60, separation=6.0):
+    """Two linearly separable classes along x."""
+    scenes = []
+    for i in range(n_scenes):
+        gen = RngStream(50, i).generator()
+        a = gen.normal(size=(n // 2, 3)) + [separation, 0.0, 0.0]
+        b = gen.normal(size=(n // 2, 3)) - [separation, 0.0, 0.0]
+        pts = np.concatenate([a, b])
+        labels = np.array([1] * (n // 2) + [2] * (n // 2))
+        scenes.append(Scene(points=pts, labels=labels))
+    return scenes
+
+
 def head_of(inlier_logits, outlier_logit):
     """A HeadOutput from inlier logits (n, c) and outlier logits (n,),
     joined into the head's (n, c+1) array."""

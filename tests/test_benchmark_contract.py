@@ -2,9 +2,10 @@
 
 ``perfbench/`` constructs, calls and traces package names that a change
 here must keep. Its tracer skips a traced name the package no longer
-defines, so a deletion would drop that per-layer metric without an error,
-and its desk workload builds ``TrainConfig`` and ``LossConfig`` from frozen
-recipes. These checks catch both without running the benchmark.
+defines, so a deletion would drop that per-layer metric without an error;
+it sees only calls made through the module attribute it patches; and its
+desk workload builds ``TrainConfig`` and ``LossConfig`` from frozen
+recipes. These checks catch all three without running the benchmark.
 """
 
 import importlib
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from oodlab import cli
+from conftest import blob_scenes
+from oodlab import cli, model
+from oodlab.core import LabelSpace
 from oodlab.losses import LossConfig
-from oodlab.model import TrainConfig
+from oodlab.model import FeatureConfig, TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +58,20 @@ def test_cli_argv_accepted(span):
     args = cli.build_parser().parse_args([command, "--config", "c.json", "--force",
                                           "--jobs", "1"])
     assert args.command in cli.COMMANDS and args.jobs == 1
+
+
+def test_train_extracts_through_the_traced_name(monkeypatch):
+    # the tracer wraps ``model.extract_features``; a call that bypassed the
+    # module attribute would vanish from the trace
+    calls = []
+    original = model.extract_features
+
+    def counting(scene, cfg):
+        calls.append(scene)
+        return original(scene, cfg)
+
+    monkeypatch.setattr(model, "extract_features", counting)
+    scenes = blob_scenes()
+    model.train(scenes, LabelSpace(2), FeatureConfig(), TrainConfig(epochs=1, loss_mode="ce"),
+                LossConfig())
+    assert len(calls) == len(scenes)

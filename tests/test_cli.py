@@ -585,6 +585,22 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--force"]) == EXIT_OK
         assert (tmp_path / "out/model.ckpt").read_bytes() == a
 
+    def test_jobs_flag_preserves_output(self, tmp_path, monkeypatch):
+        # the threads count density into each scene's memo; train reads it back
+        monkeypatch.chdir(tmp_path)
+        self.write_train_scenes(tmp_path, with_outliers=True)
+        outputs = []
+        for jobs in ("1", "2"):
+            cfg = write_config(
+                tmp_path / f"t{jobs}.json", num_classes=2, train_dir="train_scenes",
+                out_dir=f"out{jobs}",
+                train={"loss_mode": "abstain+dynamic", "epochs": 2, "hidden_sizes": [8]},
+            )
+            assert main(["train", "--config", cfg, "--jobs", jobs]) == EXIT_OK
+            outputs.append([(tmp_path / f"out{jobs}" / name).read_bytes()
+                            for name in ("model.ckpt", "train_log.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_checkpoint_in_new_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         self.write_train_scenes(tmp_path, with_outliers=True)
@@ -723,6 +739,16 @@ class TestMalformedInput:
         cfg = write_config(scan_tree / "s.json")
         self.expect(capsys, ["synth", "--config", cfg], EXIT_DATA,
                     "000001.bin: scene points must be finite")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_synth_non_finite_intensity(self, scan_tree, capsys, bad):
+        path = scan_tree / "data/scans/000001.bin"
+        data = bytearray(path.read_bytes())
+        data[12:16] = struct.pack("<f", bad)  # intensity of the first point
+        path.write_bytes(bytes(data))
+        cfg = write_config(scan_tree / "s.json")
+        self.expect(capsys, ["synth", "--config", cfg], EXIT_DATA,
+                    "000001.bin: intensity must be finite")
 
     def test_synth_asset_with_too_few_points(self, scan_tree, capsys):
         (scan_tree / "assets/few.xyz").write_text("\n".join(f"{i} 0 0" for i in range(5)))

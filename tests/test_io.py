@@ -107,7 +107,8 @@ class TestSceneFiles:
         snan = struct.pack("<I", 0x7F800001)  # float32 signalling NaN
         (tmp_path / "a.label").write_bytes(struct.pack("<I", 1))
         (tmp_path / "a.bin").write_bytes(struct.pack("<3f", 1, 2, 3) + snan)
-        assert np.isnan(read_scene(tmp_path / "a.bin", tmp_path / "a.label").intensity[0])
+        with pytest.raises(FormatError, match="a.bin: intensity must be finite"):
+            read_scene(tmp_path / "a.bin", tmp_path / "a.label")
         (tmp_path / "a.bin").write_bytes(snan + struct.pack("<3f", 2, 3, 0))
         with pytest.raises(FormatError, match="a.bin: scene points must be finite"):
             read_scene(tmp_path / "a.bin", tmp_path / "a.label")
@@ -134,7 +135,7 @@ class TestSceneFiles:
         except FormatError:
             return
         assert scene.num_points == len(points) // 16 == len(labels) // 4
-        assert np.all(np.isfinite(scene.points))
+        assert np.all(np.isfinite(scene.points)) and np.all(np.isfinite(scene.intensity))
         assert np.all((scene.labels >= 0) & (scene.labels <= 0xFFFF))
 
     def test_unwritable_path(self, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+import oodlab.model as model_mod
 from oodlab.core import LabelSpace, RngStream, Scene
 from oodlab.io import FormatError
 from oodlab.losses import LOSS_MODES, HeadOutput, LossConfig, cce_loss, softmax_head, total_loss
@@ -27,7 +29,7 @@ from oodlab.model import (
     _forward_cache,
 )
 
-from conftest import head_of
+from conftest import blob_scenes, head_of
 from oracles import density_brute_force
 
 
@@ -134,6 +136,71 @@ class TestDensityMatchesBruteForce:
         assert np.array_equal(density_column(points, r), density_brute_force(points, r))
 
 
+@pytest.fixture
+def trees_built(monkeypatch):
+    """The count of density trees ``extract_features`` builds from here on."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return cKDTree(*args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "cKDTree", counting)
+    return built
+
+
+class TestDensityMemo:
+    """A scene's density column is counted once per radius while its points
+    are unchanged; every call still returns a fresh matrix."""
+
+    def test_second_call_builds_no_tree(self, trees_built):
+        scene = blob_scenes(n_scenes=1)[0]
+        first = extract_features(scene, FeatureConfig())
+        second = extract_features(scene, FeatureConfig())
+        assert len(trees_built) == 1
+        assert np.array_equal(first, second) and first is not second
+        first[:] = 0.0  # the caller owns the matrix; the memo is untouched
+        assert np.array_equal(extract_features(scene, FeatureConfig()), second)
+
+    def test_mutated_points_counted_again(self, trees_built):
+        scene = Scene(points=lattice(0.3, n=6), labels=np.ones(216, dtype=int))
+        cfg = FeatureConfig(features=("density",), density_radius=0.3)
+        before = extract_features(scene, cfg)[:, 0]
+        scene.points[::2] += 0.05  # in place
+        in_place = extract_features(scene, cfg)[:, 0]
+        assert np.array_equal(in_place, density_brute_force(scene.points, 0.3))
+        assert not np.array_equal(in_place, before)
+        scene.points = lattice(0.3, n=6) * 1.5  # reassigned
+        assert np.array_equal(extract_features(scene, cfg)[:, 0],
+                              density_brute_force(scene.points, 0.3))
+        assert len(trees_built) == 3
+
+    def test_each_radius_has_its_own_entry(self, trees_built):
+        scene = Scene(points=lattice(0.3, n=6), labels=np.ones(216, dtype=int))
+        for r in (0.3, 0.5, 0.3, 0.5):
+            got = extract_features(scene, FeatureConfig(features=("density",),
+                                                        density_radius=r))[:, 0]
+            assert np.array_equal(got, density_brute_force(scene.points, r))
+        assert len(trees_built) == 2
+
+    def test_copy_and_equality_ignore_memo(self, trees_built):
+        scene = blob_scenes(n_scenes=1)[0]
+        twin = Scene(scene.points, scene.labels)  # the same arrays, no counts yet
+        extract_features(scene, FeatureConfig())
+        assert scene == twin and repr(scene) == repr(twin)
+        extract_features(scene.copy(), FeatureConfig())
+        assert len(trees_built) == 2
+
+    def test_train_in_every_mode_counts_each_scene_once(self, trees_built):
+        scenes = blob_scenes()
+        for s in scenes:
+            s.labels[-8:] = 4
+        for mode in LOSS_MODES:
+            cfg = TrainConfig(epochs=1, loss_mode=mode, hidden_sizes=(8,))
+            train(scenes, LabelSpace(2), FeatureConfig(), cfg, LossConfig())
+        assert len(trees_built) == len(scenes)
+
+
 class TestForward:
     def test_zero_params_uniform_probs(self):
         params = MlpParams([np.zeros((2, 8)), np.zeros((8, 4))],
@@ -227,19 +294,6 @@ class TestBackward:
         assert np.array_equal(logits, logits_b)
         for a, b in zip(gw + gb, gw_b + gb_b):
             assert np.array_equal(a, b)
-
-
-def blob_scenes(n_scenes=4, n=60, separation=6.0):
-    """Two linearly separable classes along x."""
-    scenes = []
-    for i in range(n_scenes):
-        gen = RngStream(50, i).generator()
-        a = gen.normal(size=(n // 2, 3)) + [separation, 0.0, 0.0]
-        b = gen.normal(size=(n // 2, 3)) - [separation, 0.0, 0.0]
-        pts = np.concatenate([a, b])
-        labels = np.array([1] * (n // 2) + [2] * (n // 2))
-        scenes.append(Scene(points=pts, labels=labels))
-    return scenes
 
 
 class TestTrain:
