@@ -167,12 +167,6 @@ class TestScene:
         with pytest.raises(ValueError):
             Scene(points=np.zeros((0, 3)), labels=np.zeros(0, dtype=int))
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_intensity_rejected(self, bad):
-        with pytest.raises(ValueError, match="intensity must be finite"):
-            Scene(points=np.ones((2, 3)), labels=np.ones(2, dtype=int),
-                  intensity=np.array([0.5, bad]))
-
     def test_copy_is_deep(self):
         s = Scene(points=np.ones((2, 3)), labels=np.ones(2, dtype=int),
                   intensity=np.zeros(2))
