@@ -134,6 +134,12 @@ class SynthSection:
             raise ConfigError("synthesis.mode: must be asset, resize, or both")
         if self.asset_sample_count < 10:
             raise ConfigError("synthesis.asset_sample_count: must be >= 10")
+        if not self.resize_scale_min >= 1:
+            raise ConfigError("synthesis.resize_scale_min: must be >= 1")
+        if not self.resize_scale_max >= self.resize_scale_min:
+            raise ConfigError("synthesis.resize_scale_max: must be >= resize_scale_min")
+        if not (math.isfinite(self.cluster_threshold) and self.cluster_threshold > 0):
+            raise ConfigError("synthesis.cluster_threshold: must be finite and > 0")
         self.build()  # SynthesisConfig's own checks
 
     def build(self) -> SynthesisConfig:
@@ -196,6 +202,9 @@ class RunConfig:
             raise ConfigError("num_classes: must be >= 1")
         if self.scan_count < 1:
             raise ConfigError("scan_count: must be >= 1")
+        if not 1 <= self.synthesis.resize_target_class <= self.num_classes:
+            raise ConfigError("synthesis.resize_target_class: must be an inlier class, "
+                              "in [1, num_classes]")
         self.train = dataclasses.replace(self.train, seed=self.seed)
 
     def resolved_checkpoint(self) -> str:

@@ -6,6 +6,12 @@ from oodlab.io import ObjectAsset, ScanConfig, generate_scan
 from oodlab.losses import HeadOutput
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: needs the desk-benchmark fixture (minutes); "
+        "deselect with -m 'not slow'")
+
+
 class ScriptedRng:
     """Duck-typed generator returning pre-scripted values, for pinning the
     stochastic stages of the synthesis pipeline in tests."""

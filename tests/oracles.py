@@ -1,10 +1,14 @@
-"""Independent brute-force oracles used by the metric and model tests and the
-acceptance suite. The AUROC, AUPR and density oracles deliberately share no
-code with the library implementations they check; the coverage-curve oracle
-is the per-threshold loop over those (separately checked) per-subset
-metrics."""
+"""Independent brute-force oracles used by the metric, model and synthesis
+tests and the acceptance suite. The AUROC, AUPR, density and brute-force
+component oracles deliberately share no code with the library
+implementations they check; the coverage-curve oracle is the per-threshold
+loop over those (separately checked) per-subset metrics, and the pair-graph
+components are the resizing baseline's original method."""
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from oodlab.metrics import UndefinedMetricError, aupr, auroc, miou_old, threshold_for_coverage
 
@@ -82,3 +86,38 @@ def density_brute_force(points, r):
     d = points[:, None, :] - points[None, :, :]
     sq = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2]
     return np.sum(sq <= r * r, axis=1) - 1
+
+
+def components_brute_force(points, t):
+    """O(n^2) oracle for the resizing baseline's instances: the single-linkage
+    components of ``points`` when every pair with ``(dx*dx + dy*dy) + dz*dz
+    <= t*t`` joins (ties at t and duplicates join), numbered by lowest member
+    index. Returns (count, component of each point). The squared distance is
+    summed as cKDTree sums it, as in ``density_brute_force``."""
+    points = np.asarray(points, dtype=np.float64)
+    d = points[:, None, :] - points[None, :, :]
+    adjacent = (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) + d[..., 2] * d[..., 2] <= t * t
+    labels = np.full(len(points), -1)
+    count = 0
+    for first in range(len(points)):
+        if labels[first] >= 0:
+            continue
+        labels[first] = count
+        frontier = [first]
+        while frontier:
+            reached = np.flatnonzero(adjacent[frontier.pop()] & (labels < 0))
+            labels[reached] = count
+            frontier.extend(reached.tolist())
+        count += 1
+    return count, labels
+
+
+def components_pair_graph(points, t):
+    """The same components from every pair ``cKDTree.query_pairs`` lists
+    within t, as an undirected scipy graph: the resizing baseline's original
+    labelling, kept to check that the instance it picks never changes."""
+    points = np.asarray(points, dtype=np.float64)
+    m = len(points)
+    pairs = cKDTree(points).query_pairs(t, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
+    return connected_components(graph, directed=False)

@@ -3,7 +3,8 @@
 Each test prints one pass/fail line; run with `pytest tests/test_acceptance.py -v -s`
 to see them. Criteria 6 and 7 share one desk-benchmark session fixture
 (284-463 s of training on a 2-vCPU host whose speed drifts, against the
-600 s gate); everything else is fast.
+600 s gate) and are marked ``slow``; everything else is fast, and
+`pytest -m "not slow"` runs it without the fixture.
 """
 
 import json
@@ -159,6 +160,7 @@ def desk_benchmark():
     return medians, per_seed, elapsed
 
 
+@pytest.mark.slow
 class TestCriterion6AblationDirections:
     def test_cce_ablation_and_abstain_gap(self, desk_benchmark):
         medians, seeds, elapsed = desk_benchmark
@@ -173,6 +175,7 @@ class TestCriterion6AblationDirections:
                f"{per_seed(seeds, ('abstain+static', 'ce', 'ce+cce'))}")
 
 
+@pytest.mark.slow
 class TestCriterion7DynamicNonInferiority:
     def test_dynamic_within_half_point_of_static(self, desk_benchmark):
         medians, seeds, _ = desk_benchmark

@@ -210,6 +210,21 @@ class TestConfig:
         assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("synthesis, message", [
+        ({"cluster_threshold": -1.0}, "synthesis.cluster_threshold: must be finite and > 0"),
+        ({"cluster_threshold": 0.0}, "synthesis.cluster_threshold: must be finite and > 0"),
+        ({"resize_scale_min": 0.5}, "synthesis.resize_scale_min: must be >= 1"),
+        ({"resize_scale_min": 3.0, "resize_scale_max": 2.0},
+         "synthesis.resize_scale_max: must be >= resize_scale_min"),
+        ({"resize_target_class": 9}, "synthesis.resize_target_class: must be an inlier class"),
+        ({"resize_target_class": 0}, "synthesis.resize_target_class: must be an inlier class"),
+    ])
+    def test_invalid_resize_named(self, tmp_path, monkeypatch, capsys, synthesis, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", synthesis={"mode": "resize", **synthesis})
+        assert main(["synth", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_desk_example_is_the_acceptance_recipe(self):
         cfg = load_config(EXAMPLES / "desk.json")
         assert cfg.num_classes == _benchmark.SPACE.num_classes
@@ -371,17 +386,17 @@ class TestSynth:
         assert main(["synth", "--config", cfg]) == EXIT_CONFIG
 
     def test_resize_mode_missing_class_copies_unchanged(self, scan_tree, capsys):
-        # target class 9 never occurs; scenes must come through unchanged
+        # inlier class 4 never occurs in the scans; scenes must come through unchanged
         cfg = write_config(
-            scan_tree / "s.json",
-            synthesis={"mode": "resize", "resize_target_class": 9},
+            scan_tree / "s.json", num_classes=4,
+            synthesis={"mode": "resize", "resize_target_class": 4},
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["synth", "--config", cfg]) == EXIT_OK
         assert not [w for w in caught if issubclass(w.category, UserWarning)]
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"warning: {Path('data/scans') / f'{i:06d}.bin'}: target class 9 "
+        assert err == [f"warning: {Path('data/scans') / f'{i:06d}.bin'}: target class 4 "
                        "absent; nothing resized" for i in range(2)]
         src = (scan_tree / "data/scans/000000.bin").read_bytes()
         dst = (scan_tree / "data/synth/000000.bin").read_bytes()
@@ -394,13 +409,13 @@ class TestSynth:
     def test_both_mode_missing_class_still_places_assets(self, scan_tree, capsys):
         # nothing is resized, yet the asset pipeline still merges objects
         cfg = write_config(
-            scan_tree / "s.json",
-            synthesis={"mode": "both", "resize_target_class": 9,
+            scan_tree / "s.json", num_classes=4,
+            synthesis={"mode": "both", "resize_target_class": 4,
                        "object_count_trials": 10, "object_count_prob": 1.0},
         )
         assert main(["synth", "--config", cfg]) == EXIT_OK
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"warning: {Path('data/scans') / f'{i:06d}.bin'}: target class 9 "
+        assert err == [f"warning: {Path('data/scans') / f'{i:06d}.bin'}: target class 4 "
                        "absent; nothing resized" for i in range(2)]
         reports = json.loads((scan_tree / "data/synth/merge_reports.json").read_text())
         assert all(reports[f"{i:06d}"] for i in range(2))

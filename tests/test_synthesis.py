@@ -3,9 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from oodlab.core import LabelSpace, RngStream, Scene, from_spherical, to_spherical
+from oodlab.core import (
+    LabelSpace,
+    RngStream,
+    Scene,
+    from_spherical,
+    sample_uniform,
+    to_spherical,
+)
+from oodlab.io import ScanConfig, generate_scan
 from oodlab.synthesis import (
     MergeReport,
     PlacementFailed,
@@ -20,7 +30,9 @@ from oodlab.synthesis import (
     window_min_radius,
 )
 
+import _benchmark
 from conftest import ScriptedRng, ball_asset, grid_scene
+from oracles import components_brute_force, components_pair_graph
 
 
 class TestPlaceObject:
@@ -311,6 +323,21 @@ class TestResizeExisting:
         assert out.labels[7] == space3.resized_outlier
         assert np.array_equal(np.delete(out.labels, 7), np.delete(scene.labels, 7))
 
+    @pytest.mark.parametrize("target, k_range, threshold", [
+        (0, (1.5, 3.0), 0.5),
+        (4, (1.5, 3.0), 0.5),  # the resized-outlier label, not an inlier class
+        (2, (0.5, 3.0), 0.5),
+        (2, (3.0, 2.0), 0.5),
+        (2, (1.5, 3.0), 0.0),
+        (2, (1.5, 3.0), -1.0),
+        (2, (1.5, 3.0), math.inf),
+        (2, (1.5, 3.0), math.nan),
+    ])
+    def test_bad_arguments_rejected(self, space3, target, k_range, threshold):
+        with pytest.raises(ValueError):
+            resize_existing(self.two_cluster_scene(), target, space3, k_range,
+                            RngStream(0, 0), cluster_threshold=threshold)
+
     def test_missing_class_noops_without_warning(self, space3):
         scene = grid_scene()
         with warnings.catch_warnings(record=True) as caught:
@@ -320,6 +347,153 @@ class TestResizeExisting:
         assert idx.size == 0
         assert np.array_equal(out.points, scene.points)
         assert np.array_equal(out.labels, scene.labels)
+
+
+class CountingRng(ScriptedRng):
+    """A ScriptedRng that records the bound of its last ``integers`` draw."""
+
+    def integers(self, lo, hi=None, size=None):
+        self.bound = lo
+        return super().integers(lo, hi, size)
+
+
+def picked_instances(points, threshold):
+    """Every instance resize_existing can pick among ``points`` (all of
+    class 2), in pick order: the indices it relabels when its draw is c."""
+    scene = Scene(points=points, labels=np.full(len(points), 2))
+    space = LabelSpace(3)
+    counting = CountingRng(integers=[0])
+    resize_existing(scene, 2, space, (1.0, 1.0), counting, cluster_threshold=threshold)
+    return [resize_existing(scene, 2, space, (1.0, 1.0), ScriptedRng(integers=[c]),
+                            cluster_threshold=threshold)[1]
+            for c in range(counting.bound)]
+
+
+def assert_brute_force_instances(points, threshold):
+    count, labels = components_brute_force(points, threshold)
+    picked = picked_instances(points, threshold)
+    assert len(picked) == count
+    for c, inst in enumerate(picked):
+        assert inst.tolist() == np.flatnonzero(labels == c).tolist()
+    return count
+
+
+def lattice(shape, spacing, offset=0.0):
+    axes = [offset + spacing * np.arange(n) for n in shape]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestResizeInstances:
+    """resize_existing's instances against the brute-force component oracle:
+    pairs at distance <= the threshold join, ties and duplicates included,
+    and an instance's number is its rank by lowest member index."""
+
+    def test_exact_ties_join(self):
+        assert assert_brute_force_instances(lattice((5, 4, 3), 0.5), 0.5) == 1
+
+    @pytest.mark.parametrize("t", [0.1, 0.3])
+    def test_lattice_at_rounded_threshold_spacing(self, t):
+        # multiples of t round, so some neighbours land just inside t and
+        # some just beyond it
+        points = lattice((4, 3, 2), t, offset=1.7)
+        order = RngStream(7, 0).generator().permutation(len(points))
+        assert_brute_force_instances(points[order], t)
+
+    def test_lattice_just_above_threshold_spacing(self):
+        points = lattice((4, 3, 2), 0.5 * (1 + 1e-12))
+        assert assert_brute_force_instances(points, 0.5) == len(points)
+
+    def test_duplicates(self):
+        gen = RngStream(8, 0).generator()
+        sites = gen.uniform(-5, 5, size=(6, 3))
+        points = sites[gen.integers(0, 6, size=40)]  # up to ~12 copies of a site
+        assert assert_brute_force_instances(points, 0.5) == len(np.unique(points, axis=0))
+
+    def test_single_point(self):
+        assert assert_brute_force_instances(np.array([[1.0, 2.0, 3.0]]), 0.5) == 1
+
+    def test_chain_longer_than_neighbour_lists(self):
+        # 60 points 0.4 apart, shuffled: one instance only through its links
+        direction = np.array([2.0, -1.0, 0.5]) / np.linalg.norm([2.0, -1.0, 0.5])
+        points = 0.4 * np.arange(60)[:, None] * direction
+        points = points[RngStream(9, 0).generator().permutation(60)]
+        assert assert_brute_force_instances(points, 0.5) == 1
+
+    def test_saturated_clusters_joined_across_their_lists(self):
+        # every point lists only its own dense cluster, yet the first two
+        # clusters have pairs within 0.5 of each other; the third has none
+        gen = RngStream(10, 0).generator()
+        centres = np.array([[0.0, 0.0, 0.0], [0.55, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        points = np.concatenate([c + gen.uniform(-0.04, 0.04, size=(40, 3)) for c in centres])
+        points = points[gen.permutation(len(points))]
+        assert assert_brute_force_instances(points, 0.5) == 2
+
+    def test_clusters_joined_through_a_third(self):
+        # A and C are within 0.5 of each other, yet each point of C lies
+        # nearer to B, numbered between them; B and A are 0.85 apart
+        gen = RngStream(11, 0).generator()
+        centres = np.array([[0.0, 0.0, 0.0], [0.85, 0.0, 0.0], [0.45, 0.0, 0.0]])
+        points = np.concatenate([c + gen.uniform(-0.01, 0.01, size=(30, 3)) for c in centres])
+        assert assert_brute_force_instances(points, 0.5) == 1
+
+    def test_one_ulp_beyond_threshold_stays_apart(self):
+        # squared distances 0.25 (joins) and 0.25 + 2**-54, the next double
+        points = np.array([[0.0, 0.0, 0.0], [0.5, 2.0**-27, 0.0], [0.0, 0.5, 0.0]])
+        assert assert_brute_force_instances(points, 0.5) == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=40),
+        jitter=st.sampled_from([0.0, 1e-9, 0.07]),
+        t=st.sampled_from([0.25, 0.3, 0.5]),
+    )
+    def test_property_matches_brute_force(self, cells, jitter, t):
+        # a quarter-metre grid puts many pairs at exactly 0.25 or 0.5
+        points = 0.25 * np.array(cells, dtype=np.float64)
+        points += jitter * np.sin(np.arange(points.size)).reshape(points.shape)
+        assert_brute_force_instances(points, t)
+
+
+def resize_existing_reference(scene, target_class, space, k_range, gen, threshold=0.5):
+    """resize_existing's draws and edits, on the all-pairs graph's components."""
+    member_idx = np.flatnonzero(scene.labels == target_class)
+    n_comp, component = components_pair_graph(scene.points[member_idx], threshold)
+    inst = member_idx[component == int(gen.integers(n_comp))]
+    lo, hi = k_range
+    k = sample_uniform(gen, lo, hi) if hi > lo else float(lo)
+    out = scene.copy()
+    out.points[inst] = resize(scene.points[inst], k, min_scale=lo)
+    out.labels[inst] = space.resized_outlier
+    return out, inst
+
+
+def assert_same_resize(scene, stream):
+    space = LabelSpace(3)
+    out, inst = resize_existing(scene, 2, space, (1.5, 3.0), stream.generator())
+    ref, ref_inst = resize_existing_reference(scene, 2, space, (1.5, 3.0), stream.generator())
+    assert inst.tolist() == ref_inst.tolist()
+    assert out.points.tobytes() == ref.points.tobytes()
+    assert np.array_equal(out.labels, ref.labels)
+
+
+class TestResizeMatchesPairGraph:
+    @pytest.mark.parametrize("run_seed", [1, 2, 3])
+    def test_desk_scans(self, run_seed):
+        for i, scan in enumerate(_benchmark.make_scan_corpus(10)):
+            if np.any(scan.labels == 2):
+                assert_same_resize(scan, RngStream(run_seed, (1 << 32) + i))
+
+    def test_sweep_resolution_scan(self):
+        cfg = ScanConfig(
+            sensor_height=1.7,
+            beam_elevations=tuple(np.deg2rad(np.linspace(-25.0, 3.0, 64))),
+            azimuth_step=float(np.deg2rad(0.2)),
+            max_range=40.0,
+            random_obstacles=12,
+        )
+        scan = generate_scan(cfg, RngStream(4, 0))
+        assert np.sum(scan.labels == 2) > 10_000  # sweep-sized box points
+        assert_same_resize(scan, RngStream(4, 1))
 
 
 class TestSynthesisConfig:
