@@ -134,16 +134,15 @@ def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
 
 
 def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
-    mode = cfg.synthesis.mode
-    synth_cfg = cfg.synthesis.build()
+    syn = cfg.synthesis
     space = LabelSpace(cfg.num_classes)
     pairs = _scene_pairs(Path(cfg.scan_dir))
 
     assets = []
-    if mode in ("asset", "both"):
+    if syn.mode in ("asset", "both"):
         asset_dir = Path(cfg.asset_dir)
         if asset_dir.is_dir():
-            assets = load_asset_dir(asset_dir, count=cfg.synthesis.asset_sample_count,
+            assets = load_asset_dir(asset_dir, count=syn.asset_sample_count,
                                     rng=RngStream(cfg.seed, STREAM_SYNTH - 1))
         if not assets:
             raise ConfigError(f"no assets in asset_dir {asset_dir}")
@@ -160,14 +159,17 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
         scene = read_scene(bin_path, label_path)
         rng = RngStream(cfg.seed, STREAM_SYNTH + i).generator()
         reports, resized = [], None
-        if mode in ("resize", "both"):
+        if syn.mode in ("resize", "both"):
             scene, resized = resize_existing(
-                scene, cfg.synthesis.resize_target_class, space,
-                (cfg.synthesis.resize_scale_min, cfg.synthesis.resize_scale_max),
-                rng, cluster_threshold=cfg.synthesis.cluster_threshold,
+                scene, syn.resize_target_class, space,
+                (syn.resize_scale_min, syn.resize_scale_max),
+                rng, cluster_threshold=syn.cluster_threshold,
             )
-        if mode in ("asset", "both"):
-            scene, reports = synthesize_scene(scene, assets, space, synth_cfg, rng)
+        if syn.mode in ("asset", "both"):
+            try:  # a scene the placement range does not fit
+                scene, reports = synthesize_scene(scene, assets, space, syn, rng)
+            except ValueError as exc:
+                raise ConfigError(f"{bin_path}: {exc}") from exc
         return scene, reports, resized
 
     results = _parallel(process, list(enumerate(pairs)), jobs)
@@ -177,7 +179,7 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
     for (bin_path, label_path), (scene, reports, resized) in zip(pairs, results):
         if resized is not None and resized.size == 0:
             print(f"warning: {bin_path}: target class "
-                  f"{cfg.synthesis.resize_target_class} absent; nothing resized",
+                  f"{syn.resize_target_class} absent; nothing resized",
                   file=sys.stderr)
         write_scene(scene, out_dir / bin_path.name, out_dir / label_path.name)
         outputs += [bin_path.name, label_path.name]

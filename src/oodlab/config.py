@@ -6,13 +6,14 @@ must have the JSON type of its field's default (NaN, Infinity and numbers
 beyond the double range are rejected). ``load_config`` is the one
 validation point: it builds every section through its constructor once,
 so a bad value in any section is a ConfigError before any command runs.
-``features``, ``train`` and ``loss`` are the library's FeatureConfig,
-TrainConfig and LossConfig, whose ValueError becomes a ConfigError naming
-the section; the seed is the top-level one (``train.seed`` and
-``train.beta_lr_scale`` are not keys). The other sections check their
-values in ``__post_init__``, where scan and synthesis also build their
-library config. Angles are degrees, converted by ``ScanSection.build``,
-except the merge's angular windows, which follow SynthesisConfig (radians).
+``synthesis``, ``features``, ``train`` and ``loss`` are the library's
+SynthesisConfig, FeatureConfig, TrainConfig and LossConfig, whose
+ValueError becomes ``<section>: <key> ...``. The seed is the top-level
+one (``train.seed``, ``train.beta_lr_scale`` and ``train.scenes_per_batch``
+are not keys). The other sections check their values in ``__post_init__``,
+where scan also builds its ScanConfig. Angles are degrees, converted by
+``ScanSection.build``, except the merge's angular windows, which follow
+SynthesisConfig (radians).
 
 Every command writes a RunManifest JSON, ``<command>.manifest.json``,
 next to its outputs (``write_manifest``): the resolved config snapshot,
@@ -111,52 +112,6 @@ class ScanSection:
 
 
 @dataclass
-class SynthSection:
-    mode: str = "asset"
-    object_count_trials: int = 20
-    object_count_prob: float = 0.3
-    placement_max_frac: float = 0.8
-    scale_min: float = 1.0
-    scale_max: float = 7.0
-    overlap_delta: float = 1.0
-    window_lon: float = 0.02
-    window_lat: float = 0.2
-    ground_search_radius: float = 5.0
-    occlusion_capped: bool = False
-    resize_target_class: int = 2
-    resize_scale_min: float = 1.5
-    resize_scale_max: float = 3.0
-    cluster_threshold: float = 0.5
-    asset_sample_count: int = 2048
-
-    def __post_init__(self):
-        if self.mode not in ("asset", "resize", "both"):
-            raise ConfigError("synthesis.mode: must be asset, resize, or both")
-        if self.asset_sample_count < 10:
-            raise ConfigError("synthesis.asset_sample_count: must be >= 10")
-        if not self.resize_scale_min >= 1:
-            raise ConfigError("synthesis.resize_scale_min: must be >= 1")
-        if not self.resize_scale_max >= self.resize_scale_min:
-            raise ConfigError("synthesis.resize_scale_max: must be >= resize_scale_min")
-        if not (math.isfinite(self.cluster_threshold) and self.cluster_threshold > 0):
-            raise ConfigError("synthesis.cluster_threshold: must be finite and > 0")
-        self.build()  # SynthesisConfig's own checks
-
-    def build(self) -> SynthesisConfig:
-        return SynthesisConfig(
-            object_count_trials=self.object_count_trials,
-            object_count_prob=self.object_count_prob,
-            placement_max_frac=self.placement_max_frac,
-            scale_range=(self.scale_min, self.scale_max),
-            overlap_delta=self.overlap_delta,
-            window_lon=self.window_lon,
-            window_lat=self.window_lat,
-            ground_search_radius=self.ground_search_radius,
-            occlusion_capped=self.occlusion_capped,
-        )
-
-
-@dataclass
 class MetricsSection:
     grid_size: int = 100
 
@@ -190,7 +145,7 @@ class RunConfig:
     eval_dir: str = ""       # empty -> synth_dir
     checkpoint: str = ""     # empty -> out_dir/model.ckpt
     scan: ScanSection = field(default_factory=ScanSection)
-    synthesis: SynthSection = field(default_factory=SynthSection)
+    synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
     features: FeatureConfig = field(default_factory=FeatureConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     loss: LossConfig = field(default_factory=LossConfig)
@@ -237,7 +192,8 @@ def _typed(value, default, key: str):
 
 # Library fields that a config file does not set, and why.
 _NOT_SETTABLE = {"train.seed": "the top-level seed is the only seed a config sets",
-                 "train.beta_lr_scale": "not a config setting; the CLI trains at 1.0"}
+                 "train.beta_lr_scale": "not a config setting; the CLI trains at 1.0",
+                 "train.scenes_per_batch": "not a config setting; each SGD step is one scene"}
 
 
 def _build(cls, data: dict, prefix: str):

@@ -4,9 +4,11 @@ Assets arrive upright: ``io.load_asset`` turns every asset +z-up at load
 time. The asset-based pipeline then runs, in order: move the asset
 radially and rotate it around the sensor, gate on xy overlap, resize, snap
 to the ground, then merge it into the sweep by replacing scene-point radii
-inside a small angular window. Radius replacement keeps every scene
-point's (lon, lat) untouched, so the sensor's sampling pattern is preserved
-exactly — the property the resizing baseline (also provided here) violates.
+inside a small angular window. A merge moves scene points only along
+their rays and keeps the point count and each point's (lon, lat), up to
+the rounding of the spherical round trip: the sensor's sampling pattern
+survives, which the resizing baseline (also provided here) breaks. The
+longitude window does not wrap, so an object across lon = ±pi is cut.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ class PlacementFailed(Exception):
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Sampling laws and thresholds of the injection pipeline.
+    """The config's ``synthesis`` section.
 
+    ``mode`` picks the pipelines of ``oodlab synth``: ``asset``, ``resize``
+    (the baseline, ``resize_existing``) or ``both`` (resize, then assets).
     Defaults follow the reference recipe: object count Binomial(20, 0.3),
     radial placement Uniform(r_min, 0.8 * r_max), rotation Uniform over the
     full circle, scale Uniform(1, 7), xy-Manhattan overlap threshold 1 m,
@@ -48,30 +52,46 @@ class SynthesisConfig:
     are reachable through these fields.
     """
 
+    mode: str = "asset"
     object_count_trials: int = 20
     object_count_prob: float = 0.3
     placement_max_frac: float = 0.8
-    scale_range: tuple[float, float] = (1.0, 7.0)
+    scale_min: float = 1.0
+    scale_max: float = 7.0
     overlap_delta: float = 1.0
     window_lon: float = 0.02
     window_lat: float = 0.2
     ground_search_radius: float = 5.0
     occlusion_capped: bool = False
+    resize_target_class: int = 2
+    resize_scale_min: float = 1.5
+    resize_scale_max: float = 3.0
+    cluster_threshold: float = 0.5
+    asset_sample_count: int = 2048
 
     def __post_init__(self):
+        if self.mode not in ("asset", "resize", "both"):
+            raise ValueError("mode must be asset, resize, or both")
         if self.object_count_trials < 0:
             raise ValueError("object_count_trials must be >= 0")
         if not 0.0 <= self.object_count_prob <= 1.0:
             raise ValueError("object_count_prob must lie in [0, 1]")
-        if not self.overlap_delta > 0:
-            raise ValueError("overlap_delta must be > 0")
-        if not (self.window_lon > 0 and self.window_lat > 0):
-            raise ValueError("angular windows must be > 0")
-        lo, hi = self.scale_range
-        if not (1.0 <= lo < hi):
-            raise ValueError("scale_range must satisfy 1 <= lo < hi")
-        if not 0.0 < self.placement_max_frac:
-            raise ValueError("placement_max_frac must be > 0")
+        if not 1.0 <= self.scale_min:
+            raise ValueError("scale_min must be >= 1")
+        if not self.scale_min < self.scale_max:
+            raise ValueError("scale_max must be > scale_min")
+        for name in ("placement_max_frac", "overlap_delta", "window_lon", "window_lat",
+                     "ground_search_radius"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        if not self.resize_scale_min >= 1:
+            raise ValueError("resize_scale_min must be >= 1")
+        if not self.resize_scale_max >= self.resize_scale_min:
+            raise ValueError("resize_scale_max must be >= resize_scale_min")
+        if not (math.isfinite(self.cluster_threshold) and self.cluster_threshold > 0):
+            raise ValueError("cluster_threshold must be finite and > 0")
+        if self.asset_sample_count < 10:
+            raise ValueError("asset_sample_count must be >= 10")
 
 
 @dataclass
@@ -96,11 +116,15 @@ def place_object(points: np.ndarray, scene: Scene, cfg: SynthesisConfig, rng) ->
     the sensor (the origin) in the xy-plane by a uniform angle.
 
     r_min / r_max are the nearest / farthest scene-point distances from the
-    sensor. z is untouched.
+    sensor. z is untouched. Raises ValueError when r_min >= frac * r_max.
     """
     gen = as_generator(rng)
     radii = np.linalg.norm(scene.points, axis=1)
-    d_x = sample_uniform(gen, float(radii.min()), cfg.placement_max_frac * float(radii.max()))
+    lo, hi = float(radii.min()), cfg.placement_max_frac * float(radii.max())
+    if not lo < hi:
+        raise ValueError(f"placement_max_frac {cfg.placement_max_frac} leaves no placement "
+                         f"range: r_min {lo} >= placement_max_frac * r_max {hi}")
+    d_x = sample_uniform(gen, lo, hi)
     d_lon = sample_uniform(gen, 0.0, TAU)
 
     moved = np.asarray(points, dtype=np.float64) + np.array([d_x, 0.0, 0.0])
@@ -197,8 +221,9 @@ def merge_spherical(
     angular window with the smallest matching object radius, and relabel it
     as a synthesized outlier.
 
-    (lon, lat) of every scene point is unchanged, so the point count and
-    the angular sampling pattern are conserved. With ``occlusion_capped``
+    A changed point keeps its (lon, lat) up to the rounding of the
+    spherical round trip, so the point count and the angular sampling
+    pattern are conserved. With ``occlusion_capped``
     the replacement only happens where the object is nearer than the
     existing surface.
     """
@@ -237,7 +262,8 @@ def synthesize_scene(
     ground snap / spherical merge.
 
     Objects failing the overlap gate or the ground snap contribute nothing.
-    Merges apply sequentially, so later objects see earlier ones.
+    Merges apply sequentially, so later objects see earlier ones. Only the
+    asset fields of ``cfg`` are read.
     """
     if not assets:
         raise ValueError("asset pool must be nonempty")
@@ -250,8 +276,8 @@ def synthesize_scene(
         pts = place_object(asset.points, out, cfg, gen)
         if not check_overlap(pts, out, cfg.overlap_delta):
             continue
-        k = sample_uniform(gen, *cfg.scale_range)
-        pts = resize(pts, k, min_scale=cfg.scale_range[0])
+        k = sample_uniform(gen, cfg.scale_min, cfg.scale_max)
+        pts = resize(pts, k, min_scale=cfg.scale_min)
         try:
             pts = snap_to_ground(pts, out, cfg.ground_search_radius)
         except PlacementFailed:

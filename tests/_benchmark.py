@@ -55,7 +55,6 @@ MODES = ("abstain+static", "abstain+dynamic", "ce+cce", "ce")
 TRAIN_RECIPE = dict(
     learning_rate=0.07,
     epochs=120,
-    scenes_per_batch=1,
     hidden_sizes=(24, 24),
     outlier_bias_init=-4.0,
 )

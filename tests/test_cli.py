@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -16,6 +18,7 @@ from oodlab.core import RngStream, Scene
 from oodlab.io import write_scene
 from oodlab.losses import LOSS_MODES, LossConfig
 from oodlab.model import FEATURE_NAMES, MlpParams, TrainConfig, save_checkpoint
+from oodlab.synthesis import resize_existing
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -98,7 +101,7 @@ class TestConfig:
         ({"features": {"normalizers": {"z": "x"}}}, "features: normalizers['z']"),
         ({"features": {"normalizers": {"densty": 10.0}}}, "features: normalizers['densty']"),
         ({"train": {"hidden_sizes": [0]}}, "train: hidden_sizes must all be >= 1"),
-        ({"train": {"scenes_per_batch": 2}}, "train: scenes_per_batch must be 1"),
+        ({"train": {"scenes_per_batch": 2}}, "train.scenes_per_batch: not a config setting"),
     ])
     def test_invalid_library_section_named(self, tmp_path, monkeypatch, capsys,
                                            data, message):
@@ -111,13 +114,39 @@ class TestConfig:
         ({"object_count_trials": -1}, "synthesis: object_count_trials must be >= 0"),
         ({"object_count_prob": 1.5}, "synthesis: object_count_prob must lie in [0, 1]"),
         ({"object_count_prob": -0.5}, "synthesis: object_count_prob must lie in [0, 1]"),
-        ({"asset_sample_count": 9}, "synthesis.asset_sample_count: must be >= 10"),
+        ({"asset_sample_count": 9}, "synthesis: asset_sample_count must be >= 10"),
     ])
     def test_invalid_synthesis_named(self, tmp_path, monkeypatch, capsys, data, message):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json", synthesis=data)
         assert main(["synth", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "x"),
+        ("object_count_trials", -1),
+        ("object_count_prob", 1.5),
+        ("placement_max_frac", 0.0),
+        ("scale_min", 0.5),
+        ("scale_max", 1.0),
+        ("overlap_delta", 0.0),
+        ("window_lon", 0),
+        ("window_lat", 0),
+        ("ground_search_radius", 0),
+        ("ground_search_radius", -5.0),
+        ("occlusion_capped", 1),
+        ("resize_target_class", 0),
+        ("resize_scale_min", 0.5),
+        ("resize_scale_max", 1.2),
+        ("cluster_threshold", 0.0),
+        ("asset_sample_count", 9),
+    ])
+    def test_rejected_synthesis_value_names_key(self, tmp_path, monkeypatch, capsys,
+                                                key, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", synthesis={key: value})
+        assert main(["synth", "--config", cfg]) == EXIT_CONFIG
+        assert re.search(rf"^config error: synthesis(: |\.){key}\b", capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["synth", "train", "eval"])
     @pytest.mark.parametrize("num_classes", [0, -1])
@@ -211,11 +240,11 @@ class TestConfig:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("synthesis, message", [
-        ({"cluster_threshold": -1.0}, "synthesis.cluster_threshold: must be finite and > 0"),
-        ({"cluster_threshold": 0.0}, "synthesis.cluster_threshold: must be finite and > 0"),
-        ({"resize_scale_min": 0.5}, "synthesis.resize_scale_min: must be >= 1"),
+        ({"cluster_threshold": -1.0}, "synthesis: cluster_threshold must be finite and > 0"),
+        ({"cluster_threshold": 0.0}, "synthesis: cluster_threshold must be finite and > 0"),
+        ({"resize_scale_min": 0.5}, "synthesis: resize_scale_min must be >= 1"),
         ({"resize_scale_min": 3.0, "resize_scale_max": 2.0},
-         "synthesis.resize_scale_max: must be >= resize_scale_min"),
+         "synthesis: resize_scale_max must be >= resize_scale_min"),
         ({"resize_target_class": 9}, "synthesis.resize_target_class: must be an inlier class"),
         ({"resize_target_class": 0}, "synthesis.resize_target_class: must be an inlier class"),
     ])
@@ -229,7 +258,13 @@ class TestConfig:
         cfg = load_config(EXAMPLES / "desk.json")
         assert cfg.num_classes == _benchmark.SPACE.num_classes
         assert cfg.scan.build() == _benchmark.SCAN_CFG
-        assert cfg.synthesis.build() == _benchmark.SYNTH_CFG
+        syn = cfg.synthesis
+        assert syn == dataclasses.replace(_benchmark.SYNTH_CFG, mode="both")
+        # _benchmark.synthesize_splits resizes with literal arguments and
+        # resize_existing's default threshold
+        threshold = inspect.signature(resize_existing).parameters["cluster_threshold"].default
+        assert (syn.resize_target_class, (syn.resize_scale_min, syn.resize_scale_max),
+                syn.cluster_threshold) == (2, (1.5, 3.0), threshold)
         assert cfg.features == _benchmark.FEATURES
         assert cfg.train == TrainConfig(seed=17001, loss_mode="abstain+static",
                                         **_benchmark.TRAIN_RECIPE)
@@ -401,6 +436,17 @@ class TestSynth:
         src = (scan_tree / "data/scans/000000.bin").read_bytes()
         dst = (scan_tree / "data/synth/000000.bin").read_bytes()
         assert src == dst
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_placement_range_too_small_named(self, scan_tree, capsys, jobs):
+        # ground returns start ~4 m out, so 0.01 * r_max (~0.4 m) is below r_min
+        cfg = write_config(scan_tree / "s.json", synthesis={
+            "placement_max_frac": 0.01, "object_count_prob": 1.0})
+        assert main(["synth", "--config", cfg, "--jobs", jobs]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {Path('data/scans/000000.bin')}: "
+                              "placement_max_frac 0.01 leaves no placement range: r_min ")
+        assert not (scan_tree / "data/synth/000000.bin").exists()
 
     def test_both_mode_runs(self, scan_tree):
         cfg = write_config(scan_tree / "s.json", synthesis={"mode": "both"})

@@ -69,6 +69,13 @@ class TestPlaceObject:
             rho = np.linalg.norm(out[:, :2].mean(axis=0))
             assert r_min - 1e-9 <= rho <= 0.8 * r_max + 1e-9
 
+    def test_empty_placement_range_named(self):
+        scene = grid_scene(extent=15.0)  # r_min 1, r_max 15 * sqrt(2)
+        cfg = SynthesisConfig(placement_max_frac=0.01)
+        with pytest.raises(ValueError, match=r"placement_max_frac 0\.01 leaves no placement "
+                           r"range: r_min 1\.0 >= placement_max_frac \* r_max 0\.212"):
+            place_object(self.centered_square(), scene, cfg, RngStream(0, 0))
+
 
 class TestCheckOverlap:
     def scene_single(self, x, y):
@@ -501,9 +508,9 @@ class TestSynthesisConfig:
         with pytest.raises(ValueError):
             SynthesisConfig(overlap_delta=0.0)
         with pytest.raises(ValueError):
-            SynthesisConfig(scale_range=(0.5, 7.0))
+            SynthesisConfig(scale_min=0.5)
         with pytest.raises(ValueError):
-            SynthesisConfig(scale_range=(2.0, 2.0))
+            SynthesisConfig(scale_min=2.0, scale_max=2.0)
         with pytest.raises(ValueError):
             SynthesisConfig(window_lon=0.0)
         with pytest.raises(ValueError, match="object_count_trials"):
