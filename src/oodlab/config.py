@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import INT64_MAX
 from .io import PrimitiveObstacle, ScanConfig, atomic_write
 from .losses import LossConfig
 from .model import FeatureConfig, TrainConfig
@@ -157,6 +158,8 @@ class RunConfig:
             raise ConfigError("num_classes: must be >= 1")
         if self.scan_count < 1:
             raise ConfigError("scan_count: must be >= 1")
+        if self.scan_count > INT64_MAX:
+            raise ConfigError("scan_count: must be <= 2**63 - 1")
         if not 1 <= self.synthesis.resize_target_class <= self.num_classes:
             raise ConfigError("synthesis.resize_target_class: must be an inlier class, "
                               "in [1, num_classes]")

@@ -18,6 +18,9 @@ import numpy as np
 
 TAU = 2.0 * np.pi
 
+# The largest count numpy takes as a draw's parameter or an array size.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 _MASK64 = (1 << 64) - 1
 
 

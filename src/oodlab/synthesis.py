@@ -22,6 +22,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import (
+    INT64_MAX,
     TAU,
     LabelSpace,
     Scene,
@@ -92,6 +93,9 @@ class SynthesisConfig:
             raise ValueError("cluster_threshold must be finite and > 0")
         if self.asset_sample_count < 10:
             raise ValueError("asset_sample_count must be >= 10")
+        for name in ("object_count_trials", "asset_sample_count"):
+            if getattr(self, name) > INT64_MAX:
+                raise ValueError(f"{name} must be <= 2**63 - 1")
 
 
 @dataclass
@@ -173,6 +177,29 @@ def snap_to_ground(points: np.ndarray, scene: Scene, search_radius: float = 5.0)
     return out
 
 
+# Object points per latitude band in ``window_min_radius``; any value gives
+# the same radii, only the time differs. Smaller bands cost more numpy calls
+# per merge, larger ones more pairs tested one by one. Over the recorded
+# merges of one 64-beam x 0.2 deg sweep synth (18 objects of 2048 points)
+# and of the desk splits (185 objects of 500 points), the merge set took a
+# median 102 / 80 / 72 / 73 / 77 ms (sweep) and 105 / 70 / 53 / 47 / 50 ms
+# (desk) at 64 / 128 / 256 / 512 / 1024 points, against 1756 and 179 ms
+# for every (object point, scene point) pair in the lon window (Intel Xeon,
+# one thread, numpy 2.4, 5 rounds).
+MERGE_BAND_POINTS = 256
+
+
+def _range_min_table(values: np.ndarray) -> np.ndarray:
+    """Sparse table of ``values``: row k holds min(values[i : i + 2**k])
+    at each i where that slice lies inside ``values``."""
+    table = np.full((len(values).bit_length(), len(values)), np.inf)
+    table[0] = values
+    for k in range(1, len(table)):
+        half = 1 << (k - 1)
+        table[k, :-half] = np.minimum(table[k - 1, :-half], table[k - 1, half:])
+    return table
+
+
 def window_min_radius(
     scene_sph: np.ndarray,
     obj_sph: np.ndarray,
@@ -182,29 +209,58 @@ def window_min_radius(
     """Per scene point, the smallest radius among object points falling
     strictly inside the angular window; +inf where nothing matches.
 
-    Both inputs are (n, 3) spherical (lon, lat, r). The longitude test is
-    the literal |lon_k - lon_j| < window (no 2*pi wraparound), and both
-    comparisons are strict, so a difference of exactly the window size does
-    not match.
+    Both inputs are (n, 3) spherical (lon, lat, r). Object point j matches
+    scene point k when ``lon_j - window_lon < lon_k < lon_j + window_lon``
+    and ``|lat_k - lat_j| < window_lat``, each side computed in float64 as
+    written. Both tests are strict. The longitude test compares with the
+    rounded bounds, not with the rounded difference ``lon_k - lon_j``, so a
+    pair whose computed difference equals the window can still match: scene
+    lon 0.004536172925714048 matches object lon -0.015463827074285952 at
+    window 0.02. Longitude does not wrap at +-pi.
     """
-    n = scene_sph.shape[0]
-    order = np.argsort(scene_sph[:, 0], kind="stable")
-    slon = scene_sph[order, 0]
-    slat = scene_sph[order, 1]
+    best = np.full(scene_sph.shape[0], np.inf)
+    if not len(obj_sph):
+        return best
+    lon, lat, r = obj_sph[:, 0], obj_sph[:, 1], obj_sph[:, 2]
+    slon, slat = scene_sph[:, 0], scene_sph[:, 1]
+    # Only scene points inside the object's angular bounding box can match.
+    cand = np.flatnonzero((lon.min() - window_lon < slon) & (slon < lon.max() + window_lon)
+                          & (slat - lat.max() < window_lat) & (slat - lat.min() > -window_lat))
+    clon, clat = slon[cand], slat[cand]
+    cbest = np.full(len(cand), np.inf)
+    # Both rounded bounds grow with lon_j, so in an object band sorted by
+    # lon the matches of a scene point in lon are one contiguous range, and
+    # the lat difference shrinks with lat_j, so a band's lat extremes decide
+    # whether its lat window holds all of the band, part of it or none.
+    by_lat = np.argsort(lat, kind="stable")
+    for band in np.array_split(by_lat, math.ceil(len(lat) / MERGE_BAND_POINTS)):
+        band = band[np.argsort(lon[band], kind="stable")]
+        blon, blat, br = lon[band], lat[band], r[band]
+        start = np.searchsorted(blon + window_lon, clon, side="right")
+        stop = np.searchsorted(blon - window_lon, clon, side="left")
+        d_min, d_max = clat - blat.max(), clat - blat.min()
+        hit = stop > start
+        inside = hit & (d_max < window_lat) & (d_min > -window_lat)
+        cut = hit & ~inside & (d_min < window_lat) & (d_max > -window_lat)
 
-    lo = np.searchsorted(slon, obj_sph[:, 0] - window_lon, side="right")
-    hi = np.searchsorted(slon, obj_sph[:, 0] + window_lon, side="left")
-    counts = hi - lo
-    total = int(counts.sum())
-    best = np.full(n, np.inf)
-    if total > 0:
-        rows = np.repeat(np.arange(len(obj_sph)), counts)
-        starts = np.cumsum(counts) - counts
-        cand = np.arange(total) - np.repeat(starts, counts) + np.repeat(lo, counts)
-        mask = np.abs(slat[cand] - obj_sph[rows, 1]) < window_lat
-        sorted_best = np.full(n, np.inf)
-        np.minimum.at(sorted_best, cand[mask], obj_sph[rows[mask], 2])
-        best[order] = sorted_best
+        rows = np.flatnonzero(inside)
+        if rows.size:
+            lo, hi = start[rows], stop[rows]
+            k = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo)), exactly
+            table = _range_min_table(br)
+            cbest[rows] = np.minimum(
+                cbest[rows], np.minimum(table[k, lo], table[k, hi - (1 << k)]))
+
+        rows = np.flatnonzero(cut)
+        if rows.size:
+            counts = stop[rows] - start[rows]
+            offsets = np.cumsum(counts) - counts
+            pair_row = np.repeat(rows, counts)
+            pair_obj = np.arange(int(counts.sum())) - np.repeat(offsets - start[rows], counts)
+            radii = np.where(np.abs(clat[pair_row] - blat[pair_obj]) < window_lat,
+                             br[pair_obj], np.inf)
+            cbest[rows] = np.minimum(cbest[rows], np.minimum.reduceat(radii, offsets))
+    best[cand] = cbest
     return best
 
 

@@ -2,8 +2,9 @@
 tests and the acceptance suite. The AUROC, AUPR, density and brute-force
 component oracles deliberately share no code with the library
 implementations they check; the coverage-curve oracle is the per-threshold
-loop over those (separately checked) per-subset metrics, and the pair-graph
-components are the resizing baseline's original method."""
+loop over those (separately checked) per-subset metrics, the pair-graph
+components are the resizing baseline's original method, and the merge-window
+oracle tests every (scene point, object point) pair."""
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -121,3 +122,18 @@ def components_pair_graph(points, t):
     pairs = cKDTree(points).query_pairs(t, output_type="ndarray")
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m))
     return connected_components(graph, directed=False)
+
+
+def window_min_radius_brute_force(scene_sph, obj_sph, window_lon, window_lat):
+    """Oracle for the merge window: per scene point k, the smallest radius
+    of the object points j with ``lon_j - window_lon < lon_k < lon_j +
+    window_lon`` and ``|lat_k - lat_j| < window_lat``, each side computed
+    in float64 as written; +inf where none matches. Loops over every pair."""
+    scene_sph = np.asarray(scene_sph, dtype=np.float64)
+    obj_sph = np.asarray(obj_sph, dtype=np.float64)
+    best = np.full(len(scene_sph), np.inf)
+    for k, (lon_k, lat_k, _) in enumerate(scene_sph.tolist()):
+        for lon_j, lat_j, r_j in obj_sph.tolist():
+            if lon_j - window_lon < lon_k < lon_j + window_lon and abs(lat_k - lat_j) < window_lat:
+                best[k] = min(best[k], r_j)
+    return best

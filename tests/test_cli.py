@@ -115,6 +115,8 @@ class TestConfig:
         ({"object_count_prob": 1.5}, "synthesis: object_count_prob must lie in [0, 1]"),
         ({"object_count_prob": -0.5}, "synthesis: object_count_prob must lie in [0, 1]"),
         ({"asset_sample_count": 9}, "synthesis: asset_sample_count must be >= 10"),
+        ({"object_count_trials": 10**19}, "synthesis: object_count_trials must be <= 2**63 - 1"),
+        ({"asset_sample_count": 2**63}, "synthesis: asset_sample_count must be <= 2**63 - 1"),
     ])
     def test_invalid_synthesis_named(self, tmp_path, monkeypatch, capsys, data, message):
         monkeypatch.chdir(tmp_path)
@@ -147,6 +149,13 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", synthesis={key: value})
         assert main(["synth", "--config", cfg]) == EXIT_CONFIG
         assert re.search(rf"^config error: synthesis(: |\.){key}\b", capsys.readouterr().err)
+
+    def test_scan_count_beyond_int64_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", scan_count=2**63)
+        assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
+        assert "scan_count: must be <= 2**63 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train", "eval"])
     @pytest.mark.parametrize("num_classes", [0, -1])

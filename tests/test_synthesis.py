@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -32,7 +32,11 @@ from oodlab.synthesis import (
 
 import _benchmark
 from conftest import ScriptedRng, ball_asset, grid_scene
-from oracles import components_brute_force, components_pair_graph
+from oracles import (
+    components_brute_force,
+    components_pair_graph,
+    window_min_radius_brute_force,
+)
 
 
 class TestPlaceObject:
@@ -178,13 +182,75 @@ class TestWindowMatching:
             gen.uniform(1.0, 20.0, 80),
         ], axis=1)
         got = window_min_radius(scene_sph, obj_sph, 0.05, 0.1)
-        expect = np.full(300, np.inf)
-        for k in range(300):
-            for j in range(80):
-                if (abs(scene_sph[k, 0] - obj_sph[j, 0]) < 0.05
-                        and abs(scene_sph[k, 1] - obj_sph[j, 1]) < 0.1):
-                    expect[k] = min(expect[k], obj_sph[j, 2])
+        assert np.array_equal(got, window_min_radius_brute_force(scene_sph, obj_sph, 0.05, 0.1))
+
+    def test_rounded_bound_decides(self):
+        # the computed difference is exactly the window, but the computed
+        # bound lon_j + window lies one ulp above the scene point's lon
+        scene_sph = np.array([[0.004536172925714048, 0.0, 10.0]])
+        obj_sph = np.array([[-0.015463827074285952, 0.0, 5.0]])
+        assert scene_sph[0, 0] - obj_sph[0, 0] == 0.02
+        got = window_min_radius(scene_sph, obj_sph, 0.02, 0.2)
+        assert np.array_equal(got, [5.0])
+        assert np.array_equal(got, window_min_radius_brute_force(scene_sph, obj_sph, 0.02, 0.2))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 600),
+        n=st.integers(1, 40),
+        lat_spread=st.sampled_from([0.01, 0.1, 0.5]),
+        windows=st.sampled_from([(0.02, 0.2), (0.05, 0.03)]),
+    )
+    @example(seed=1, m=0, n=5, lat_spread=0.1, windows=(0.02, 0.2))
+    @example(seed=2, m=256, n=40, lat_spread=0.1, windows=(0.02, 0.2))
+    @example(seed=3, m=257, n=40, lat_spread=0.5, windows=(0.05, 0.03))
+    @example(seed=4, m=600, n=40, lat_spread=0.1, windows=(0.05, 0.03))
+    def test_property_matches_brute_force(self, seed, m, n, lat_spread, windows):
+        # 0 to 600 object points make 0 to 3 latitude bands. Rounding to a
+        # 1e-3 grid makes tied object coordinates; most scene points sit
+        # exactly at an object point's lon +- window_lon or lat +- window_lat.
+        window_lon, window_lat = windows
+        gen = RngStream(seed, 0).generator()
+        obj_sph = np.stack([
+            np.round(gen.uniform(-0.1, 0.1, m), 3),
+            np.round(gen.uniform(-lat_spread, lat_spread, m), 3),
+            gen.uniform(1.0, 20.0, m),
+        ], axis=1)
+        scene_sph = np.stack([
+            gen.uniform(-0.15, 0.15, n),
+            gen.uniform(-lat_spread - window_lat, lat_spread + window_lat, n),
+            gen.uniform(1.0, 20.0, n),
+        ], axis=1)
+        if m:
+            for axis, window in ((0, window_lon), (1, window_lat)):
+                at = gen.random(n) < 0.7
+                j = gen.integers(m, size=n)
+                edge = obj_sph[j, axis] + gen.choice([-window, 0.0, window], size=n)
+                scene_sph[:, axis] = np.where(at, edge, scene_sph[:, axis])
+        got = window_min_radius(scene_sph, obj_sph, window_lon, window_lat)
+        expect = window_min_radius_brute_force(scene_sph, obj_sph, window_lon, window_lat)
         assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("height", [0.4, 5.0])
+    def test_scan_object_matches_brute_force(self, height):
+        # 5.5 m from a 64-beam sensor, a 0.4 m tall object spans less lat
+        # than window_lat and a 5 m one more
+        cfg = ScanConfig(
+            sensor_height=1.7,
+            beam_elevations=tuple(np.deg2rad(np.linspace(-25.0, 3.0, 64))),
+            azimuth_step=float(np.deg2rad(2.0)),
+            max_range=40.0,
+            random_obstacles=4,
+        )
+        scene_sph = to_spherical(generate_scan(cfg, RngStream(9, 0)).points)
+        gen = RngStream(9, 1).generator()
+        obj = gen.uniform(-0.5, 0.5, (300, 3)) * [1.0, 1.0, height] + [5.5, 0.0, height / 2]
+        obj_sph = to_spherical(obj)
+        assert (np.ptp(obj_sph[:, 1]) > 0.2) == (height > 1.0)
+        got = window_min_radius(scene_sph, obj_sph, 0.02, 0.2)
+        assert np.isfinite(got).sum() > 20
+        assert np.array_equal(got, window_min_radius_brute_force(scene_sph, obj_sph, 0.02, 0.2))
 
 
 class TestMergeSpherical:
@@ -518,4 +584,8 @@ class TestSynthesisConfig:
         for prob in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="object_count_prob"):
                 SynthesisConfig(object_count_prob=prob)
+        for name in ("object_count_trials", "asset_sample_count"):
+            with pytest.raises(ValueError, match=rf"{name} must be <= 2\*\*63 - 1"):
+                SynthesisConfig(**{name: 2**63})
         SynthesisConfig(object_count_trials=0, object_count_prob=1.0)  # bounds accepted
+        SynthesisConfig(object_count_trials=2**63 - 1, asset_sample_count=2**63 - 1)
