@@ -5,19 +5,27 @@ Subcommands: genscan | synth | train | eval | gradcheck. Common flags:
 existing outputs), --jobs N (scene-level threads for genscan, synth,
 eval and train's feature extraction, default 1; gradcheck accepts it and
 runs on one). Exit codes: 0 success, 2 config error, 3 output collision,
-4 numeric failure, 5 malformed data file (a scene, asset or checkpoint;
-the message names the file).
+4 numeric failure (training diverged, or eval's network overflowed), 5
+malformed or unreadable data file (a scene, asset or checkpoint; the
+message names the file).
 ``config.load_config`` checks the whole config before any command runs,
 so a bad value in any section exits 2 for every command, as do inputs
 that contradict the config and a scan section that casts no returns.
 
-All randomness flows from the single top-level seed through per-scene
-stream ids; each stage uses its own stream-id namespace so streams are
-never reused across stages. Every output file is written atomically by
-``io.atomic_write`` (temp file + rename), and every command records a
-RunManifest as ``<command>.manifest.json`` in its output directory
-(genscan: scan_dir, synth: synth_dir, the others: out_dir), so no command
-overwrites another's.
+All randomness flows from the top-level seed through stream ids, one
+namespace per stage: genscan draws scan i from stream i, synth from
+STREAM_SYNTH - 1 (mesh samples) and STREAM_SYNTH + i (scene i), and train
+from ``model.STREAM_TRAIN``, the stream ``model.train`` takes without an
+``rng``, so the train manifest's config reproduces the checkpoint.
+
+Each command states its output files once: it checks them for collisions
+before it reads an input file or does any work, writes them, and lists
+them as its manifest's ``outputs``. Every output file is written
+atomically by ``io.atomic_write`` (temp file + rename), and every command
+records a RunManifest as ``<command>.manifest.json`` in its output
+directory (genscan: scan_dir, synth: synth_dir, the others: out_dir), so no
+command overwrites another's. A scene label outside 1..num_classes + 2
+exits 2, naming the .label file.
 
 ``gradcheck`` sets only the instance count and size; the check itself runs
 at ``run_gradient_checks``'s defaults, against ``GRADCHECK_TOLERANCE``.
@@ -35,9 +43,9 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError, RunConfig
-from .core import LabelSpace, RngStream
-from .io import (FormatError, atomic_write, generate_scan, load_asset_dir, read_scene,
-                 write_scene)
+from .core import LabelSpace, RngStream, Scene
+from .io import (FormatError, asset_paths, atomic_write, generate_scan, load_asset_dir,
+                 read_scene, write_scene)
 from .losses import run_gradient_checks, softmax_head
 from .metrics import (
     ScoredPoints,
@@ -72,13 +80,15 @@ EXIT_DATA = 5
 
 GRADCHECK_TOLERANCE = 1e-4
 
-# stream-id namespaces, one per stage, so (seed, stream) pairs never repeat
-STREAM_SYNTH = 1 << 32
-STREAM_TRAIN = 1 << 33
+STREAM_SYNTH = 1 << 32  # synth's stream-id namespace
 
 
 class OutputCollision(RuntimeError):
     pass
+
+
+class NumericFailure(RuntimeError):
+    """A non-finite value stopped the command; the message names the input."""
 
 
 def _parallel(fn, items, jobs: int):
@@ -106,6 +116,17 @@ def _scene_pairs(directory: Path) -> list[tuple[Path, Path]]:
     return pairs
 
 
+def _checked_scene(pair, space: LabelSpace) -> Scene:
+    """The scene of a (.bin, .label) pair; a label outside ``space`` is a
+    ConfigError naming the .label file."""
+    scene = read_scene(*pair)
+    try:
+        space.validate(scene.labels)
+    except ValueError as exc:
+        raise ConfigError(f"{pair[1]}: {exc}") from exc
+    return scene
+
+
 def _input_digests(pairs, *paths) -> dict[str, str]:
     """{file name: sha256} of ``paths`` and the scene file ``pairs``."""
     files = [*paths, *(f for pair in pairs for f in pair)]
@@ -114,8 +135,9 @@ def _input_digests(pairs, *paths) -> dict[str, str]:
 
 def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_dir = Path(cfg.scan_dir)
-    names = [f"{i:06d}" for i in range(cfg.scan_count)]
-    targets = [out_dir / f"{n}{ext}" for n in names for ext in (".bin", ".label")]
+    pairs = [(out_dir / f"{i:06d}.bin", out_dir / f"{i:06d}.label")
+             for i in range(cfg.scan_count)]
+    targets = [f for pair in pairs for f in pair]
     _check_collisions(targets, force)
     scan_cfg = cfg.scan.build()
     try:  # a scan that casts no returns
@@ -124,12 +146,9 @@ def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
     except ValueError as exc:
         raise ConfigError(f"scan: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, scene in zip(names, scenes):
-        p, l = out_dir / f"{name}.bin", out_dir / f"{name}.label"
-        write_scene(scene, p, l)
-        outputs += [p.name, l.name]
-    cfgmod.write_manifest(out_dir, "genscan", cfg, {}, outputs)
+    for pair, scene in zip(pairs, scenes):
+        write_scene(scene, *pair)
+    cfgmod.write_manifest(out_dir, "genscan", cfg, {}, targets)
     return EXIT_OK
 
 
@@ -137,26 +156,26 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
     syn = cfg.synthesis
     space = LabelSpace(cfg.num_classes)
     pairs = _scene_pairs(Path(cfg.scan_dir))
-
-    assets = []
+    asset_dir, asset_files = Path(cfg.asset_dir), []
     if syn.mode in ("asset", "both"):
-        asset_dir = Path(cfg.asset_dir)
-        if asset_dir.is_dir():
-            assets = load_asset_dir(asset_dir, count=syn.asset_sample_count,
-                                    rng=RngStream(cfg.seed, STREAM_SYNTH - 1))
-        if not assets:
+        asset_files = asset_paths(asset_dir) if asset_dir.is_dir() else []
+        if not asset_files:
             raise ConfigError(f"no assets in asset_dir {asset_dir}")
 
     out_dir = Path(cfg.synth_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    targets = [out_dir / p.name for p, _ in pairs]
-    targets += [out_dir / l.name for _, l in pairs]
-    targets.append(out_dir / "merge_reports.json")
+    out_pairs = [(out_dir / p.name, out_dir / l.name) for p, l in pairs]
+    report_path = out_dir / "merge_reports.json"
+    targets = [f for pair in out_pairs for f in pair] + [report_path]
     _check_collisions(targets, force)
 
+    assets = []
+    if asset_files:
+        assets = load_asset_dir(asset_dir, count=syn.asset_sample_count,
+                                rng=RngStream(cfg.seed, STREAM_SYNTH - 1))
+
     def process(item):
-        i, (bin_path, label_path) = item
-        scene = read_scene(bin_path, label_path)
+        i, pair = item
+        scene = _checked_scene(pair, space)
         rng = RngStream(cfg.seed, STREAM_SYNTH + i).generator()
         reports, resized = [], None
         if syn.mode in ("resize", "both"):
@@ -169,20 +188,19 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
             try:  # a scene the placement range does not fit
                 scene, reports = synthesize_scene(scene, assets, space, syn, rng)
             except ValueError as exc:
-                raise ConfigError(f"{bin_path}: {exc}") from exc
+                raise ConfigError(f"{pair[0]}: {exc}") from exc
         return scene, reports, resized
 
     results = _parallel(process, list(enumerate(pairs)), jobs)
-    inputs = _input_digests(pairs)
-    outputs = []
+    inputs = _input_digests(pairs, *asset_files)  # before the writes: synth_dir may be scan_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     all_reports = {}
-    for (bin_path, label_path), (scene, reports, resized) in zip(pairs, results):
+    for (bin_path, _), out_pair, (scene, reports, resized) in zip(pairs, out_pairs, results):
         if resized is not None and resized.size == 0:
             print(f"warning: {bin_path}: target class "
                   f"{syn.resize_target_class} absent; nothing resized",
                   file=sys.stderr)
-        write_scene(scene, out_dir / bin_path.name, out_dir / label_path.name)
-        outputs += [bin_path.name, label_path.name]
+        write_scene(scene, *out_pair)
         all_reports[bin_path.stem] = [
             {
                 "object_id": r.object_id,
@@ -192,10 +210,8 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
             }
             for r in reports
         ]
-    atomic_write(out_dir / "merge_reports.json",
-                 json.dumps(all_reports, indent=2, sort_keys=True) + "\n")
-    outputs.append("merge_reports.json")
-    cfgmod.write_manifest(out_dir, "synth", cfg, inputs, outputs)
+    atomic_write(report_path, json.dumps(all_reports, indent=2, sort_keys=True) + "\n")
+    cfgmod.write_manifest(out_dir, "synth", cfg, inputs, targets)
     return EXIT_OK
 
 
@@ -203,25 +219,23 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     space = LabelSpace(cfg.num_classes)
     in_dir = Path(cfg.train_dir or cfg.synth_dir)
     pairs = _scene_pairs(in_dir)
-    scenes = [read_scene(p, l) for p, l in pairs]
-
     out_dir = Path(cfg.out_dir)
     ckpt_path = Path(cfg.resolved_checkpoint())
+    if ckpt_path.is_dir():
+        raise ConfigError(f"checkpoint: {ckpt_path} is a directory")
     log_path = out_dir / "train_log.csv"
-    _check_collisions([ckpt_path, log_path], force)
+    targets = [ckpt_path, log_path]
+    _check_collisions(targets, force)
+    scenes = [_checked_scene(pair, space) for pair in pairs]
 
     if jobs > 1:
         # count each scene's neighbours into its memo on the threads, so
         # train reads the counts back (model.FeatureConfig)
         _parallel(lambda s: extract_features(s, cfg.features), scenes, jobs)
     try:
-        params, beta, log = train(
-            scenes, space, cfg.features, cfg.train, cfg.loss,
-            rng=RngStream(cfg.seed, STREAM_TRAIN),
-        )
+        params, beta, log = train(scenes, space, cfg.features, cfg.train, cfg.loss)
     except TrainingDiverged as exc:
-        print(f"error: {in_dir}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise NumericFailure(f"{in_dir}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{in_dir}: {exc}") from exc
 
@@ -231,10 +245,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     lines = ["epoch,loss"]
     lines += [f"{e},{repr(v)}" for e, v in enumerate(log.epoch_losses)]
     atomic_write(log_path, "\n".join(lines) + "\n")
-    cfgmod.write_manifest(
-        out_dir, "train", cfg, _input_digests(pairs),
-        [ckpt_path.name, log_path.name],
-    )
+    cfgmod.write_manifest(out_dir, "train", cfg, _input_digests(pairs), targets)
     return EXIT_OK
 
 
@@ -244,6 +255,11 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint does not exist: {ckpt_path}")
     pairs = _scene_pairs(Path(cfg.eval_dir or cfg.synth_dir))
+    out_dir = Path(cfg.out_dir)
+    paths = {name: out_dir / f"{name}.csv" for name in ("summary", "curves", "histogram")}
+    targets = list(paths.values())
+    _check_collisions(targets, force)
+
     params, _beta = load_checkpoint(ckpt_path)
     got = (params.layer_sizes[0], params.layer_sizes[-1])
     want = (len(cfg.features.features), space.num_classes + 1)
@@ -251,17 +267,16 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
         raise ConfigError(f"{ckpt_path}: input/output sizes {got[0]}/{got[1]}, but the "
                           f"config's features and num_classes need {want[0]}/{want[1]}")
 
-    out_dir = Path(cfg.out_dir)
-    paths = {name: out_dir / f"{name}.csv" for name in ("summary", "curves", "histogram")}
-    _check_collisions(list(paths.values()), force)
-
     def process(pair):
-        scene = read_scene(*pair)
-        try:
-            space.validate(scene.labels)
-        except ValueError as exc:
-            raise ConfigError(f"{pair[1]}: {exc}") from exc
-        head = forward(extract_features(scene, cfg.features), params)
+        scene = _checked_scene(pair, space)
+        features = extract_features(scene, cfg.features)
+        # an overflow here is caught by HeadOutput's finiteness check, as in training
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:  # the sizes match (checked above): only NaN/inf fail
+                head = forward(features, params)
+            except ValueError:
+                raise NumericFailure(
+                    f"{ckpt_path}: {pair[0]}: non-finite network output") from None
         probs = softmax_head(head)
         # argmax over [p^y, p^o]; a tie goes to the inlier class
         p_in = probs.p_inlier
@@ -304,20 +319,16 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     write_curves_csv(paths["curves"], curves)
     write_histogram_csv(paths["histogram"], po_histogram(p_o, is_outlier))
 
-    cfgmod.write_manifest(
-        out_dir, "eval", cfg, _input_digests(pairs, ckpt_path),
-        [p.name for p in paths.values()],
-    )
+    cfgmod.write_manifest(out_dir, "eval", cfg, _input_digests(pairs, ckpt_path), targets)
     return EXIT_OK
 
 
 def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
-    results = run_gradient_checks(num_instances=cfg.gradcheck.instances,
-                                  max_points=cfg.gradcheck.max_points, seed=cfg.seed)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "gradcheck.csv"
     _check_collisions([report_path], force)
+    results = run_gradient_checks(num_instances=cfg.gradcheck.instances,
+                                  max_points=cfg.gradcheck.max_points, seed=cfg.seed)
 
     all_pass = True
     lines = ["loss,max_rel_error,worst_seed,tolerance,pass"]
@@ -328,10 +339,9 @@ def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
         verdict = "pass" if ok else "FAIL"
         print(f"{name:<16} {err:>14.3e} {worst:>11d} {verdict}")
         lines.append(f"{name},{repr(err)},{worst},{repr(GRADCHECK_TOLERANCE)},{verdict}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     atomic_write(report_path, "\n".join(lines) + "\n")
-    cfgmod.write_manifest(
-        out_dir, "gradcheck", cfg, {}, [report_path.name]
-    )
+    cfgmod.write_manifest(out_dir, "gradcheck", cfg, {}, [report_path])
     return EXIT_OK if all_pass else EXIT_NUMERIC
 
 
@@ -376,6 +386,9 @@ def main(argv=None) -> int:
     except OutputCollision as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COLLISION
+    except NumericFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def entrypoint() -> None:

@@ -9,9 +9,12 @@ so a bad value in any section is a ConfigError before any command runs.
 ``synthesis``, ``features``, ``train`` and ``loss`` are the library's
 SynthesisConfig, FeatureConfig, TrainConfig and LossConfig, whose
 ValueError becomes ``<section>: <key> ...``. The seed is the top-level
-one (``train.seed``, ``train.beta_lr_scale`` and ``train.scenes_per_batch``
-are not keys). The other sections check their values in ``__post_init__``,
-where scan also builds its ScanConfig. Angles are degrees, converted by
+one; RunConfig copies it into ``train.seed``, the training stream's key, so
+a manifest's ``features``, ``train`` and ``loss`` reproduce its checkpoint
+through ``model.train`` (``train.seed``, ``train.beta_lr_scale`` and
+``train.scenes_per_batch`` are not keys). Scan labels must lie in the
+label space, 1..num_classes + 2. The other sections check their values in
+``__post_init__``, where scan also builds its ScanConfig. Angles are degrees, converted by
 ``ScanSection.build``, except the merge's angular windows, which follow
 SynthesisConfig (radians).
 
@@ -33,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import INT64_MAX
+from .core import INT64_MAX, LabelSpace
 from .io import PrimitiveObstacle, ScanConfig, atomic_write
 from .losses import LossConfig
 from .model import FeatureConfig, TrainConfig
@@ -163,6 +166,15 @@ class RunConfig:
         if not 1 <= self.synthesis.resize_target_class <= self.num_classes:
             raise ConfigError("synthesis.resize_target_class: must be an inlier class, "
                               "in [1, num_classes]")
+        max_label = LabelSpace(self.num_classes).max_label
+        labels = {f"scan.{key}": getattr(self.scan, key)
+                  for key in ("ground_label", "box_label", "cylinder_label")}
+        labels.update((f"scan.obstacles[{i}].label", obstacle.label)
+                      for i, obstacle in enumerate(self.scan.build().obstacles))
+        for key, label in labels.items():
+            if not 1 <= label <= max_label:
+                raise ConfigError(f"{key}: {label} is outside the label space "
+                                  f"[1, num_classes + 2] = [1, {max_label}]")
         self.train = dataclasses.replace(self.train, seed=self.seed)
 
     def resolved_checkpoint(self) -> str:
@@ -261,9 +273,10 @@ def file_digest(path) -> str:
 
 
 def write_manifest(directory, command: str, cfg: RunConfig, inputs: dict[str, str],
-                   outputs: list[str]) -> None:
-    """Write ``directory/<command>.manifest.json``: each command has its own
-    manifest, so commands sharing a directory keep each other's."""
+                   outputs) -> None:
+    """Write ``directory/<command>.manifest.json``, recording the file names
+    of the ``outputs`` paths: each command has its own manifest, so
+    commands sharing a directory keep each other's."""
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "command": command,
@@ -271,7 +284,7 @@ def write_manifest(directory, command: str, cfg: RunConfig, inputs: dict[str, st
         "rng": "numpy-philox",
         "config": dataclasses.asdict(cfg),
         "inputs": dict(sorted(inputs.items())),
-        "outputs": sorted(outputs),
+        "outputs": sorted(Path(p).name for p in outputs),
     }
     atomic_write(Path(directory) / f"{command}.manifest.json",
                  json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -16,8 +16,9 @@ a temp file that is then renamed over its target, so a reader never sees a
 partial file and a failed write leaves the previous file intact.
 
 A scene pair (``read_scene``), asset (``load_asset``) or checkpoint
-(``model.load_checkpoint``) that does not match its format raises
-``FormatError``, whose message begins with the file's path.
+(``model.load_checkpoint``) that does not match its format, or that cannot
+be read (a directory, say: ``read_bytes``), raises ``FormatError``, whose
+message begins with the file's path.
 """
 
 from __future__ import annotations
@@ -107,25 +108,34 @@ def atomic_write(path, data) -> None:
             os.remove(tmp)
 
 
-def _record_count(path, record_bytes: int, kind: str) -> int:
-    size = os.path.getsize(path)
-    if size == 0 or size % record_bytes:
-        raise FormatError(f"{path}: truncated {kind} file ({size} bytes)")
-    return size // record_bytes
+def read_bytes(path) -> bytes:
+    """The contents of the file ``path``; FormatError naming it if it
+    cannot be read (a directory, a missing or unreadable file)."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def _records(path, record_bytes: int, dtype: str, kind: str) -> np.ndarray:
+    data = read_bytes(path)
+    if not data or len(data) % record_bytes:
+        raise FormatError(f"{path}: truncated {kind} file ({len(data)} bytes)")
+    return np.frombuffer(data, dtype=dtype)
 
 
 def read_scene(path_points, path_labels) -> Scene:
     """Read a point/label file pair into a Scene.
 
-    Raises FormatError on a file that is not a whole number of records, a
-    point/label count mismatch, or a non-finite coordinate or intensity.
+    Raises FormatError on a file that cannot be read or is not a whole
+    number of records, a point/label count mismatch, or a non-finite
+    coordinate or intensity.
     """
-    n = _record_count(path_points, POINT_RECORD_BYTES, "point")
-    n_labels = _record_count(path_labels, LABEL_RECORD_BYTES, "label")
-    if n_labels != n:
-        raise FormatError(f"{path_labels}: {n_labels} labels for {n} points")
-    records = np.fromfile(path_points, dtype="<f4").reshape(-1, 4)
-    labels_raw = np.fromfile(path_labels, dtype="<u4")
+    records = _records(path_points, POINT_RECORD_BYTES, "<f4", "point").reshape(-1, 4)
+    labels_raw = _records(path_labels, LABEL_RECORD_BYTES, "<u4", "label")
+    if len(labels_raw) != len(records):
+        raise FormatError(f"{path_labels}: {len(labels_raw)} labels for {len(records)} points")
     # casting a signalling NaN warns; Scene rejects non-finite values itself
     with np.errstate(invalid="ignore"):
         points, intensity = records[:, :3].astype(np.float64), records[:, 3].astype(np.float64)
@@ -150,7 +160,7 @@ def write_scene(scene: Scene, path_points, path_labels) -> None:
 def read_xyz(path) -> ObjectAsset:
     """Parse an ASCII "x y z" per-line asset; blank lines and # comments allowed."""
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_bytes(path).decode().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -174,7 +184,7 @@ def read_obj(path) -> TriangleMesh:
     """
     vertices: list[list[float]] = []
     triangles: list[list[int]] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_bytes(path).decode().splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0] not in ("v", "f"):
             continue
@@ -248,14 +258,15 @@ def load_asset(path, count: int = 2048, rng=None) -> ObjectAsset:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def asset_paths(directory) -> list[Path]:
+    """The .xyz/.txt/.obj asset files in ``directory``, sorted by name."""
+    return sorted(p for p in Path(directory).iterdir()
+                  if p.suffix.lower() in (".xyz", ".txt", ".obj"))
+
+
 def load_asset_dir(directory, count: int = 2048, rng=None) -> list[ObjectAsset]:
-    """Load every .xyz/.txt/.obj asset under `directory`, sorted by name."""
-    directory = Path(directory)
-    paths = sorted(
-        p for p in directory.iterdir()
-        if p.suffix.lower() in (".xyz", ".txt", ".obj")
-    )
-    return [load_asset(p, count=count, rng=rng) for p in paths]
+    """Load every asset of ``asset_paths(directory)``, in its order."""
+    return [load_asset(p, count=count, rng=rng) for p in asset_paths(directory)]
 
 
 @dataclass(frozen=True)

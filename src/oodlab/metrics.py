@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .io import atomic_write
 
@@ -71,7 +70,16 @@ def auroc(scores, is_outlier) -> float:
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():  # a NaN has no rank: the AUROC is NaN
+        return float("nan")
+    # midranks: the tie block at sorted positions start..end-1 shares the
+    # rank (start + 1 + end) / 2, a half-integer, so any sort kind gives them
+    order = np.argsort(scores)
+    sorted_scores = scores[order]
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

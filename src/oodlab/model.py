@@ -21,6 +21,7 @@ Checkpoint layout (all little-endian):
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import LabelSpace, RngStream, Scene, as_generator, to_spherical
-from .io import FormatError, atomic_write
+from .io import FormatError, atomic_write, read_bytes
 from .losses import LOSS_MODES, HeadOutput, HeadStats, LossConfig, total_loss
 
 FEATURE_NAMES = ("x", "y", "z", "r", "lat", "lon", "density")
@@ -42,6 +43,11 @@ DENSITY_LEAFSIZE = 128
 
 CHECKPOINT_MAGIC = b"OODC"
 CHECKPOINT_VERSION = 1
+
+# The training stream's id under the run seed: without an ``rng``, ``train``
+# draws its initialisation and scene orders from RngStream(seed, STREAM_TRAIN).
+# The CLI's other stages use other ids (``cli``).
+STREAM_TRAIN = 1 << 33
 
 
 class TrainingDiverged(RuntimeError):
@@ -62,8 +68,9 @@ class FeatureConfig:
     ``density`` is, per point, the number of other points at Euclidean
     distance at most ``density_radius``: a point at exactly that distance
     counts, every duplicate of a point counts, and the point itself does
-    not. ``normalizers`` maps feature name -> nonzero divisor; unlisted
-    features pass through unscaled.
+    not. ``normalizers`` maps feature name -> nonzero divisor, a number
+    that converts to a finite float; unlisted features pass through
+    unscaled.
 
     The density column is counted once per Scene and ``density_radius``:
     ``extract_features`` keeps it on the Scene and reuses it while a digest
@@ -87,8 +94,12 @@ class FeatureConfig:
             if name not in self.features:
                 raise ValueError(f"normalizers[{name!r}] names no selected feature")
             number = isinstance(divisor, (int, float)) and not isinstance(divisor, bool)
-            if not number or divisor == 0:
-                raise ValueError(f"normalizers[{name!r}] must be a nonzero number")
+            try:  # an integer beyond the double range does not convert
+                usable = number and divisor != 0 and math.isfinite(divisor)
+            except OverflowError:
+                usable = False
+            if not usable:
+                raise ValueError(f"normalizers[{name!r}] must be a nonzero finite number")
 
 
 def _density_column(scene: Scene, radius: float) -> np.ndarray:
@@ -246,6 +257,10 @@ class TrainConfig:
     ``learning_rate * beta_lr_scale * BETA_PRIOR * |m_in|`` is below 2
     (m_in from ``losses.margins``); the default 1.0 gives beta the
     weights' step.
+
+    ``seed`` keys the stream ``train`` draws from when it is given no
+    ``rng``: RngStream(seed, STREAM_TRAIN). A run config sets it to its
+    top-level seed.
     """
 
     learning_rate: float = 0.05
@@ -296,7 +311,10 @@ def train(
 ) -> tuple[MlpParams, np.ndarray, TrainLog]:
     """Plain SGD on the selected objective, one scene per step in a seeded
     order each epoch; beta steps too whenever the loss returns its gradient
-    (abstain+dynamic). Deterministic given (scenes, configs, seed).
+    (abstain+dynamic). Deterministic given (scenes, configs, seed): without
+    ``rng`` the draws come from RngStream(train_cfg.seed, STREAM_TRAIN),
+    the stream ``oodlab train`` uses, so a train manifest's ``features``,
+    ``train`` and ``loss`` reproduce its checkpoint.
 
     Raises ValueError on a label outside ``space`` or, in a loss mode other
     than plain "ce", on a dataset without outlier-labelled points; raises
@@ -313,7 +331,7 @@ def train(
                 f"loss mode {train_cfg.loss_mode!r} requires outlier labels "
                 "in the training data"
             )
-    gen = as_generator(rng if rng is not None else RngStream(train_cfg.seed))
+    gen = as_generator(rng if rng is not None else RngStream(train_cfg.seed, STREAM_TRAIN))
 
     feats = [extract_features(s, feature_cfg) for s in scenes]
     labels = [s.labels for s in scenes]
@@ -398,9 +416,9 @@ def save_checkpoint(path, params: MlpParams, beta) -> None:
 
 
 def load_checkpoint(path) -> tuple[MlpParams, np.ndarray]:
-    """Read the documented layout; FormatError unless the file is exactly it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Read the documented layout; FormatError unless the file is exactly it
+    (or if it cannot be read, as a directory cannot)."""
+    data = read_bytes(path)
     if data[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
     if len(data) < 12:

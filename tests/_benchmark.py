@@ -156,10 +156,8 @@ def run_benchmark_seed(scans, run_seed, modes=MODES, n_train=N_TRAIN,
     out = {}
     for mode in modes:
         cfg = TrainConfig(seed=run_seed, loss_mode=mode, **train_recipe)
-        params, _beta, _log = train(
-            train_scenes, SPACE, FEATURES, cfg, LossConfig(**loss_recipe),
-            rng=RngStream(run_seed, 1 << 33),
-        )
+        params, _beta, _log = train(train_scenes, SPACE, FEATURES, cfg,
+                                    LossConfig(**loss_recipe))
         out[mode] = eval_aupr(params, eval_scenes, eval_feats)
     return out
 

@@ -3,6 +3,8 @@ import inspect
 import json
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 import _benchmark
 from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from oodlab.config import ConfigError, RunConfig, file_digest, load_config
-from oodlab.core import RngStream, Scene
-from oodlab.io import write_scene
+from oodlab.core import LabelSpace, RngStream, Scene
+from oodlab.io import read_scene, write_scene
 from oodlab.losses import LOSS_MODES, LossConfig
-from oodlab.model import FEATURE_NAMES, MlpParams, TrainConfig, save_checkpoint
+from oodlab.model import (FEATURE_NAMES, FeatureConfig, MlpParams, TrainConfig,
+                          save_checkpoint, train)
 from oodlab.synthesis import resize_existing
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -263,6 +266,39 @@ class TestConfig:
         assert main(["synth", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
+    def test_normalizer_beyond_double_range_named(self, tmp_path, monkeypatch, capsys):
+        # an integer divisor that does not convert to a float fails at load,
+        # not in train's feature scaling
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", features={"normalizers": {"z": 10**400}})
+        assert main(["train", "--config", cfg]) == EXIT_CONFIG
+        assert ("config error: features: normalizers['z'] must be a nonzero finite number"
+                in capsys.readouterr().err)
+        assert load_config(None, {"features": {"normalizers": {"z": 10**300}}})
+
+    @pytest.mark.parametrize("scan, key, label", [
+        ({"box_label": 9}, "scan.box_label", 9),
+        ({"ground_label": 0}, "scan.ground_label", 0),
+        ({"cylinder_label": 6}, "scan.cylinder_label", 6),
+        ({"obstacles": [{"kind": "box", "center": [5, 0, 1], "size": [1, 1, 1], "label": 0}]},
+         "scan.obstacles[0].label", 0),
+    ])
+    def test_scan_label_outside_space_named(self, tmp_path, monkeypatch, capsys,
+                                            scan, key, label):
+        # labels 1..num_classes + 2, the range the label space accepts
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", num_classes=3, scan=scan)
+        assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
+        assert (f"config error: {key}: {label} is outside the label space "
+                "[1, num_classes + 2] = [1, 5]" in capsys.readouterr().err)
+        assert not (tmp_path / "data").exists()
+
+    def test_default_scan_labels_fit_one_class(self):
+        cfg = load_config(None, {"num_classes": 1, "synthesis": {"resize_target_class": 1},
+                                 "scan": {"obstacles": [{"kind": "box", "center": [5, 0, 1],
+                                                         "size": [1, 1, 1], "label": 3}]}})
+        assert (cfg.scan.ground_label, cfg.scan.box_label, cfg.scan.cylinder_label) == (1, 2, 3)
+
     def test_desk_example_is_the_acceptance_recipe(self):
         cfg = load_config(EXAMPLES / "desk.json")
         assert cfg.num_classes == _benchmark.SPACE.num_classes
@@ -475,6 +511,24 @@ class TestSynth:
         reports = json.loads((scan_tree / "data/synth/merge_reports.json").read_text())
         assert all(reports[f"{i:06d}"] for i in range(2))
 
+    def test_manifest_digests_the_assets(self, scan_tree):
+        cfg = write_config(scan_tree / "s.json")
+        manifest = scan_tree / "data/synth/synth.manifest.json"
+        assert main(["synth", "--config", cfg]) == EXIT_OK
+        before = json.loads(manifest.read_text())["inputs"]
+        ball_xyz(scan_tree / "assets/ball1.xyz", seed=7)  # an edited asset
+        assert main(["synth", "--config", cfg, "--force"]) == EXIT_OK
+        after = json.loads(manifest.read_text())["inputs"]
+        scans = sorted((scan_tree / "data/scans").glob("000*"))
+        assets = sorted((scan_tree / "assets").iterdir())
+        assert after == {f.name: file_digest(f) for f in scans + assets}
+        assert {k for k in after if after[k] != before[k]} == {"ball1.xyz"}
+        # the resizing baseline reads no assets
+        cfg = write_config(scan_tree / "r.json", synthesis={"mode": "resize"})
+        assert main(["synth", "--config", cfg, "--force"]) == EXIT_OK
+        assert json.loads(manifest.read_text())["inputs"] == {
+            f.name: file_digest(f) for f in scans}
+
 
 def test_every_command_keeps_its_manifest(scan_tree):
     cfg = write_config(scan_tree / "c.json", scan_count=2, scan=tiny_scan_section(),
@@ -493,6 +547,72 @@ def test_every_command_keeps_its_manifest(scan_tree):
     assert train["inputs"] == {f.name: file_digest(f) for f in sorted(synth.glob("000*"))}
     assert train["outputs"] == ["model.ckpt", "train_log.csv"]
     assert not list(scan_tree.rglob("manifest.json"))
+
+
+def test_manifest_outputs_are_the_files_written(scan_tree):
+    cfg = write_config(scan_tree / "c.json", scan_count=2, scan=tiny_scan_section(),
+                       scan_dir="run/scans", synth_dir="run/synth", out_dir="run/out",
+                       checkpoint="run/ckpt/m.ckpt", features={"features": ["z", "density"]},
+                       train={"loss_mode": "ce", "epochs": 1, "hidden_sizes": [8]},
+                       gradcheck={"instances": 2, "max_points": 8})
+    where = {"genscan": "run/scans", "synth": "run/synth", "train": "run/out",
+             "eval": "run/out", "gradcheck": "run/out"}
+    for command, directory in where.items():
+        before = {p for p in scan_tree.rglob("*") if p.is_file()}
+        assert main([command, "--config", cfg]) == EXIT_OK
+        manifest = scan_tree / directory / f"{command}.manifest.json"
+        written = {p for p in scan_tree.rglob("*") if p.is_file()} - before - {manifest}
+        assert json.loads(manifest.read_text())["outputs"] == sorted(p.name for p in written)
+
+
+def test_train_manifest_reproduces_checkpoint_through_library(scan_tree):
+    cfg = write_config(scan_tree / "c.json", seed=5, scan_count=2, scan=tiny_scan_section(),
+                       synthesis={"mode": "both"},
+                       features={"features": ["z", "r", "density"]},
+                       train={"loss_mode": "abstain+dynamic", "epochs": 2,
+                              "hidden_sizes": [8]},
+                       loss={"clamp_beta": True})
+    for command in ("synth", "train"):
+        assert main([command, "--config", cfg]) == EXIT_OK
+    run = json.loads((scan_tree / "out/train.manifest.json").read_text())["config"]
+    bins = sorted((scan_tree / "data/synth").glob("*.bin"))
+    scenes = [read_scene(p, p.with_suffix(".label")) for p in bins]
+    params, beta, _log = train(scenes, LabelSpace(run["num_classes"]),
+                               FeatureConfig(**run["features"]), TrainConfig(**run["train"]),
+                               LossConfig(**run["loss"]))
+    save_checkpoint(scan_tree / "library.ckpt", params, beta)
+    assert ((scan_tree / "library.ckpt").read_bytes()
+            == (scan_tree / "out/model.ckpt").read_bytes())
+
+
+def test_collision_checked_before_inputs_are_read(scan_tree, capsys):
+    # each input is malformed (exit 5 once read); an existing output exits 3 first
+    (scan_tree / "assets/few.xyz").write_text("0 0 0\n")
+    (scan_tree / "data/synth").mkdir(parents=True)
+    (scan_tree / "data/synth/000001.label").write_bytes(b"")
+    (scan_tree / "data/scans/000001.bin").write_bytes(b"\0" * 3)
+    ckpt = scan_tree / "bad.ckpt"
+    ckpt.write_bytes(b"NOPE")
+    (scan_tree / "out").mkdir()
+    (scan_tree / "out/train_log.csv").write_text("")
+    (scan_tree / "out/curves.csv").write_text("")
+    cfg = write_config(scan_tree / "c.json", train_dir="data/scans", eval_dir="data/scans")
+    assert main(["synth", "--config", cfg]) == EXIT_COLLISION
+    assert main(["train", "--config", cfg]) == EXIT_COLLISION
+    cfg = write_config(scan_tree / "e.json", checkpoint=str(ckpt), eval_dir="data/scans")
+    assert main(["eval", "--config", cfg]) == EXIT_COLLISION
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: output exists (use --force to overwrite): {Path(p)}" for p in
+                   ("data/synth/000001.label", "out/train_log.csv", "out/curves.csv")]
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is the slowest scipy import and metrics.auroc ranks with numpy
+    code = ("import sys; sys.path[:0] = %r; import oodlab.cli; "
+            "print('scipy.stats' in sys.modules)" % sys.path)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"
 
 
 def make_perfect_fixture(tmp_path, n_outlier=8):
@@ -758,6 +878,20 @@ class TestGradcheck:
             worst = int(row.split(",")[2])
             assert 0 <= worst < 3
 
+    def test_existing_report_exits_before_any_check(self, tmp_path, monkeypatch, capsys):
+        import oodlab.cli as cli_mod
+
+        def no_checks(**kwargs):
+            raise AssertionError("a gradient check ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli_mod, "run_gradient_checks", no_checks)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out/gradcheck.csv").write_text("kept\n")
+        assert main(["gradcheck"]) == EXIT_COLLISION
+        assert "output exists" in capsys.readouterr().err
+        assert (tmp_path / "out/gradcheck.csv").read_text() == "kept\n"
+
 
 class TestMalformedInput:
     """A malformed data file exits 5 naming the file, and a label outside
@@ -787,7 +921,7 @@ class TestMalformedInput:
         monkeypatch.chdir(tmp_path)
         cfg = self.train_tree(tmp_path, bad_label=9)
         self.expect(capsys, ["train", "--config", cfg], EXIT_CONFIG,
-                    "train_scenes: labels outside 1..4: [9]")
+                    "train_scenes/000001.label: labels outside 1..4: [9]")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bin_bytes, label_bytes, named", [
@@ -885,3 +1019,53 @@ class TestMalformedInput:
         self.expect(capsys, ["eval", "--config", cfg], EXIT_CONFIG,
                     "eval_scenes/000001.label: labels outside 1..4: [9]")
         assert not (tmp_path / "out").exists()
+
+    def test_synth_label_outside_space(self, scan_tree, capsys):
+        path = scan_tree / "data/scans/000001.label"
+        labels = bytearray(path.read_bytes())
+        labels[0:4] = struct.pack("<I", 9)
+        path.write_bytes(bytes(labels))
+        cfg = write_config(scan_tree / "s.json", synthesis={"mode": "resize"})
+        self.expect(capsys, ["synth", "--config", cfg], EXIT_CONFIG,
+                    "data/scans/000001.label: labels outside 1..5: [9]")
+        assert not (scan_tree / "data/synth").exists()
+
+    def test_eval_overflowing_network(self, tmp_path, monkeypatch, capsys):
+        # finite weights whose products overflow: the logits are inf
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, ckpt = make_perfect_fixture(tmp_path)
+        big = MlpParams([np.full((1, 4), 1e300), np.full((4, 3), 1e300)],
+                        [np.full(4, 1e300), np.full(3, 1e300)])
+        save_checkpoint(ckpt, big, np.ones(3))
+        cfg = TestEval().eval_config(tmp_path, scenes_dir, ckpt)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--config", cfg]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: {scenes_dir / '000000.bin'}: non-finite network output\n"
+        assert not caught
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_asset_that_is_a_directory(self, scan_tree, capsys):
+        (scan_tree / "assets/odd.xyz").mkdir()
+        cfg = write_config(scan_tree / "s.json")
+        self.expect(capsys, ["synth", "--config", cfg], EXIT_DATA,
+                    f"data error: {Path('assets/odd.xyz')}: cannot read: Is a directory")
+
+    def test_eval_checkpoint_that_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, _ckpt = make_perfect_fixture(tmp_path)
+        (tmp_path / "ckpt_dir").mkdir()
+        cfg = TestEval().eval_config(tmp_path, scenes_dir, tmp_path / "ckpt_dir")
+        self.expect(capsys, ["eval", "--config", cfg], EXIT_DATA,
+                    f"data error: {tmp_path / 'ckpt_dir'}: cannot read: Is a directory")
+        assert not (tmp_path / "out").exists()
+
+    def test_train_checkpoint_that_is_a_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        TestTrain().write_train_scenes(tmp_path, with_outliers=True)
+        (tmp_path / "out/model.ckpt").mkdir(parents=True)
+        cfg = TestTrain().train_config(tmp_path, mode="abstain+static")
+        self.expect(capsys, ["train", "--config", cfg, "--force"], EXIT_CONFIG,
+                    f"config error: checkpoint: {Path('out/model.ckpt')} is a directory")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["model.ckpt"]

@@ -113,6 +113,19 @@ class TestSceneFiles:
         with pytest.raises(FormatError, match="a.bin: scene points must be finite"):
             read_scene(tmp_path / "a.bin", tmp_path / "a.label")
 
+    @pytest.mark.parametrize("unreadable", ["bin", "label"])
+    def test_unreadable_file_named(self, tmp_path, unreadable):
+        # a directory, or a missing file, in place of either file of the pair
+        (tmp_path / "a.bin").write_bytes(struct.pack("<4f", 1, 2, 3, 0))
+        (tmp_path / "a.label").write_bytes(struct.pack("<I", 1))
+        (tmp_path / f"a.{unreadable}").unlink()
+        (tmp_path / f"a.{unreadable}").mkdir()
+        with pytest.raises(FormatError, match=rf"a\.{unreadable}: cannot read: Is a directory"):
+            read_scene(tmp_path / "a.bin", tmp_path / "a.label")
+        (tmp_path / f"a.{unreadable}").rmdir()
+        with pytest.raises(FormatError, match=rf"a\.{unreadable}: cannot read: No such file"):
+            read_scene(tmp_path / "a.bin", tmp_path / "a.label")
+
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "a.bin").write_bytes(struct.pack("<8f", *range(8)))
         (tmp_path / "a.label").write_bytes(struct.pack("<I", 1))

@@ -12,6 +12,7 @@ from oodlab.io import FormatError
 from oodlab.losses import LOSS_MODES, HeadOutput, LossConfig, cce_loss, softmax_head, total_loss
 from oodlab.model import (
     CHECKPOINT_MAGIC,
+    STREAM_TRAIN,
     FeatureConfig,
     MlpParams,
     TrainConfig,
@@ -368,7 +369,7 @@ class TestTrain:
         loss_cfg = LossConfig(weight_abstain=0.7)
         params, beta, log = train([scene], space, self.FEATS, cfg, loss_cfg)
 
-        init = init_params([3, 8, 4, 3], RngStream(5))
+        init = init_params([3, 8, 4, 3], RngStream(5, STREAM_TRAIN))
         init.biases[-1][2] += -1.0
         logits, acts = _forward_cache(extract_features(scene, self.FEATS), init)
         res = total_loss(HeadOutput(logits), scene.labels, space, loss_cfg, mode, np.ones(3))
