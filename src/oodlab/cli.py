@@ -2,15 +2,16 @@
 
 Subcommands: genscan | synth | train | eval | gradcheck. Common flags:
 --config PATH (JSON run config), --seed N (override), --force (overwrite
-existing outputs), --jobs N (scene-level threads for genscan, synth,
+existing outputs), --jobs N >= 1 (scene-level threads for genscan, synth,
 eval and train's feature extraction, default 1; gradcheck accepts it and
-runs on one). Exit codes: 0 success, 2 config error, 3 output collision,
-4 numeric failure (training diverged, or eval's network overflowed), 5
-malformed or unreadable data file (a scene, asset or checkpoint; the
-message names the file).
+runs on one). Exit codes: 0 success, 2 config or usage error (--jobs 0,
+say), 3 output collision, 4 numeric failure (training diverged, or eval's
+network overflowed), 5 malformed or unreadable data file (a scene, asset
+or checkpoint; the message names the file).
 ``config.load_config`` checks the whole config before any command runs,
 so a bad value in any section exits 2 for every command, as do inputs
-that contradict the config and a scan section that casts no returns.
+that contradict the config, a scan section that casts no returns and a
+``features.normalizers`` divisor that overflows the scaled features.
 
 All randomness flows from the top-level seed through stream ids, one
 namespace per stage: genscan draws scan i from stream i, synth from
@@ -18,14 +19,15 @@ STREAM_SYNTH - 1 (mesh samples) and STREAM_SYNTH + i (scene i), and train
 from ``model.STREAM_TRAIN``, the stream ``model.train`` takes without an
 ``rng``, so the train manifest's config reproduces the checkpoint.
 
-Each command states its output files once: it checks them for collisions
-before it reads an input file or does any work, writes them, and lists
-them as its manifest's ``outputs``. Every output file is written
-atomically by ``io.atomic_write`` (temp file + rename), and every command
-records a RunManifest as ``<command>.manifest.json`` in its output
-directory (genscan: scan_dir, synth: synth_dir, the others: out_dir), so no
-command overwrites another's. A scene label outside 1..num_classes + 2
-exits 2, naming the .label file.
+Each command states its output files once. Before it reads an input file
+or does any work, ``_check_outputs`` rejects an output that is a directory
+or lies under a file (exit 2, naming the path) and, without --force, one
+that exists (exit 3). The output directories are made just before the
+first write, and ``io`` writes every file atomically (temp file + rename).
+The outputs are listed in a RunManifest, ``<command>.manifest.json`` in
+the command's output directory (genscan: scan_dir, synth: synth_dir, the
+others: out_dir), so no command overwrites another's. A scene label
+outside 1..num_classes + 2 exits 2, naming the .label file.
 
 ``gradcheck`` sets only the instance count and size; the check itself runs
 at ``run_gradient_checks``'s defaults, against ``GRADCHECK_TOLERANCE``.
@@ -34,7 +36,6 @@ at ``run_gradient_checks``'s defaults, against ``GRADCHECK_TOLERANCE``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -44,8 +45,8 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError, RunConfig
 from .core import LabelSpace, RngStream, Scene
-from .io import (FormatError, asset_paths, atomic_write, generate_scan, load_asset_dir,
-                 read_scene, write_scene)
+from .io import (FormatError, asset_paths, generate_scan, load_asset_dir, read_scene,
+                 write_csv, write_json, write_scene)
 from .losses import run_gradient_checks, softmax_head
 from .metrics import (
     ScoredPoints,
@@ -56,8 +57,6 @@ from .metrics import (
     default_grid,
     miou_old,
     po_histogram,
-    write_curves_csv,
-    write_histogram_csv,
 )
 from .model import (
     TrainingDiverged,
@@ -91,6 +90,13 @@ class NumericFailure(RuntimeError):
     """A non-finite value stopped the command; the message names the input."""
 
 
+def _jobs(text: str) -> int:
+    """The --jobs value: an integer >= 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _parallel(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(x) for x in items]
@@ -98,9 +104,24 @@ def _parallel(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _check_collisions(paths, force: bool):
+def _check_outputs(paths, force: bool):
+    """An output path that is a directory, or whose nearest existing ancestor
+    is not one, is a ConfigError; then, without ``force``, one that exists is
+    a collision."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise ConfigError(f"output is a directory: {path}")
+        ancestor = next((a for a in path.parents if a.exists()), None)
+        if ancestor is not None and not ancestor.is_dir():
+            raise ConfigError(f"output {path}: {ancestor} is not a directory")
     if not force and (existing := [p for p in paths if Path(p).exists()]):
         raise OutputCollision(f"output exists (use --force to overwrite): {existing[0]}")
+
+
+def _make_parents(paths):
+    """Create the directories the output ``paths`` go in."""
+    for parent in dict.fromkeys(Path(p).parent for p in paths):
+        parent.mkdir(parents=True, exist_ok=True)
 
 
 def _scene_pairs(directory: Path) -> list[tuple[Path, Path]]:
@@ -138,14 +159,14 @@ def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
     pairs = [(out_dir / f"{i:06d}.bin", out_dir / f"{i:06d}.label")
              for i in range(cfg.scan_count)]
     targets = [f for pair in pairs for f in pair]
-    _check_collisions(targets, force)
+    _check_outputs(targets, force)
     scan_cfg = cfg.scan.build()
     try:  # a scan that casts no returns
         scenes = _parallel(lambda i: generate_scan(scan_cfg, RngStream(cfg.seed, i)),
                            range(cfg.scan_count), jobs)
     except ValueError as exc:
         raise ConfigError(f"scan: {exc}") from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_parents(targets)
     for pair, scene in zip(pairs, scenes):
         write_scene(scene, *pair)
     cfgmod.write_manifest(out_dir, "genscan", cfg, {}, targets)
@@ -166,7 +187,7 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_pairs = [(out_dir / p.name, out_dir / l.name) for p, l in pairs]
     report_path = out_dir / "merge_reports.json"
     targets = [f for pair in out_pairs for f in pair] + [report_path]
-    _check_collisions(targets, force)
+    _check_outputs(targets, force)
 
     assets = []
     if asset_files:
@@ -193,7 +214,7 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
 
     results = _parallel(process, list(enumerate(pairs)), jobs)
     inputs = _input_digests(pairs, *asset_files)  # before the writes: synth_dir may be scan_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_parents(targets)
     all_reports = {}
     for (bin_path, _), out_pair, (scene, reports, resized) in zip(pairs, out_pairs, results):
         if resized is not None and resized.size == 0:
@@ -210,7 +231,7 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
             }
             for r in reports
         ]
-    atomic_write(report_path, json.dumps(all_reports, indent=2, sort_keys=True) + "\n")
+    write_json(report_path, all_reports)
     cfgmod.write_manifest(out_dir, "synth", cfg, inputs, targets)
     return EXIT_OK
 
@@ -221,30 +242,25 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     pairs = _scene_pairs(in_dir)
     out_dir = Path(cfg.out_dir)
     ckpt_path = Path(cfg.resolved_checkpoint())
-    if ckpt_path.is_dir():
-        raise ConfigError(f"checkpoint: {ckpt_path} is a directory")
     log_path = out_dir / "train_log.csv"
     targets = [ckpt_path, log_path]
-    _check_collisions(targets, force)
+    _check_outputs(targets, force)
     scenes = [_checked_scene(pair, space) for pair in pairs]
 
-    if jobs > 1:
-        # count each scene's neighbours into its memo on the threads, so
-        # train reads the counts back (model.FeatureConfig)
-        _parallel(lambda s: extract_features(s, cfg.features), scenes, jobs)
     try:
+        if jobs > 1:
+            # count each scene's neighbours into its memo on the threads, so
+            # train reads the counts back (model.FeatureConfig)
+            _parallel(lambda s: extract_features(s, cfg.features), scenes, jobs)
         params, beta, log = train(scenes, space, cfg.features, cfg.train, cfg.loss)
     except TrainingDiverged as exc:
         raise NumericFailure(f"{in_dir}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{in_dir}: {exc}") from exc
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
+    _make_parents(targets)
     save_checkpoint(ckpt_path, params, beta)
-    lines = ["epoch,loss"]
-    lines += [f"{e},{repr(v)}" for e, v in enumerate(log.epoch_losses)]
-    atomic_write(log_path, "\n".join(lines) + "\n")
+    write_csv(log_path, ["epoch", "loss"], enumerate(log.epoch_losses))
     cfgmod.write_manifest(out_dir, "train", cfg, _input_digests(pairs), targets)
     return EXIT_OK
 
@@ -258,7 +274,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_dir = Path(cfg.out_dir)
     paths = {name: out_dir / f"{name}.csv" for name in ("summary", "curves", "histogram")}
     targets = list(paths.values())
-    _check_collisions(targets, force)
+    _check_outputs(targets, force)
 
     params, _beta = load_checkpoint(ckpt_path)
     got = (params.layer_sizes[0], params.layer_sizes[-1])
@@ -269,7 +285,10 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
 
     def process(pair):
         scene = _checked_scene(pair, space)
-        features = extract_features(scene, cfg.features)
+        try:  # a normalizer that overflows the scaled features
+            features = extract_features(scene, cfg.features)
+        except ValueError as exc:
+            raise ConfigError(f"{pair[0]}: {exc}") from exc
         # an overflow here is caught by HeadOutput's finiteness check, as in training
         with np.errstate(over="ignore", invalid="ignore"):
             try:  # the sizes match (checked above): only NaN/inf fail
@@ -298,26 +317,26 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
               file=sys.stderr)
 
     try:
-        miou = repr(miou_old(pred, truth, space.num_classes))
+        miou = miou_old(pred, truth, space.num_classes)
     except UndefinedMetricError:
         print("warning: eval set contains no inlier points; miou_old is NA", file=sys.stderr)
-        miou = "NA"
-    lines = ["score,aupr,auroc,miou_old"]
+        miou = float("nan")
+    rows = []
     for name, scores in (("p_o", p_o), ("msp", msp), ("maxlogit", maxlogit)):
         try:
-            pr = repr(aupr(scores, is_outlier))
-            roc = repr(auroc(scores, is_outlier))
+            rows.append((name, aupr(scores, is_outlier), auroc(scores, is_outlier), miou))
         except UndefinedMetricError:
-            pr, roc = "NA", "NA"
-        lines.append(f"{name},{pr},{roc},{miou}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(paths["summary"], "\n".join(lines) + "\n")
+            rows.append((name, float("nan"), float("nan"), miou))
+    _make_parents(targets)
+    write_csv(paths["summary"], ["score", "aupr", "auroc", "miou_old"], rows)
 
     points = ScoredPoints(p_o, is_outlier, pred, truth)
-    curves = coverage_curves(points, space.num_classes,
-                             grid=default_grid(cfg.metrics.grid_size))
-    write_curves_csv(paths["curves"], curves)
-    write_histogram_csv(paths["histogram"], po_histogram(p_o, is_outlier))
+    c = coverage_curves(points, space.num_classes, grid=default_grid(cfg.metrics.grid_size))
+    write_csv(paths["curves"], ["coverage", "threshold", "risk", "aupr", "auroc"],
+              zip(c.coverage, c.threshold, c.risk, c.aupr, c.auroc))
+    h = po_histogram(p_o, is_outlier)
+    write_csv(paths["histogram"], ["bin_lo", "bin_hi", "inlier_count", "outlier_count"],
+              zip(h.bin_edges[:-1], h.bin_edges[1:], h.inlier_counts, h.outlier_counts))
 
     cfgmod.write_manifest(out_dir, "eval", cfg, _input_digests(pairs, ckpt_path), targets)
     return EXIT_OK
@@ -326,23 +345,20 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
 def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_dir = Path(cfg.out_dir)
     report_path = out_dir / "gradcheck.csv"
-    _check_collisions([report_path], force)
+    _check_outputs([report_path], force)
     results = run_gradient_checks(num_instances=cfg.gradcheck.instances,
                                   max_points=cfg.gradcheck.max_points, seed=cfg.seed)
 
-    all_pass = True
-    lines = ["loss,max_rel_error,worst_seed,tolerance,pass"]
+    rows = [(name, err, worst, GRADCHECK_TOLERANCE,
+             "pass" if err <= GRADCHECK_TOLERANCE else "FAIL")
+            for name, (err, worst) in results.items()]
     print(f"{'loss':<16} {'max rel error':>14} {'worst seed':>11} result")
-    for name, (err, worst) in results.items():
-        ok = err <= GRADCHECK_TOLERANCE
-        all_pass &= ok
-        verdict = "pass" if ok else "FAIL"
+    for name, err, worst, _tolerance, verdict in rows:
         print(f"{name:<16} {err:>14.3e} {worst:>11d} {verdict}")
-        lines.append(f"{name},{repr(err)},{worst},{repr(GRADCHECK_TOLERANCE)},{verdict}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write(report_path, "\n".join(lines) + "\n")
+    _make_parents([report_path])
+    write_csv(report_path, ["loss", "max_rel_error", "worst_seed", "tolerance", "pass"], rows)
     cfgmod.write_manifest(out_dir, "gradcheck", cfg, {}, [report_path])
-    return EXIT_OK if all_pass else EXIT_NUMERIC
+    return EXIT_OK if all(row[-1] == "pass" for row in rows) else EXIT_NUMERIC
 
 
 COMMANDS = {
@@ -365,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON run config path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_jobs, default=1,
                        help="parallel scene workers for genscan, synth, eval and "
                             "train's feature extraction; gradcheck ignores it")
     return parser

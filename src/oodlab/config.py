@@ -9,14 +9,15 @@ so a bad value in any section is a ConfigError before any command runs.
 ``synthesis``, ``features``, ``train`` and ``loss`` are the library's
 SynthesisConfig, FeatureConfig, TrainConfig and LossConfig, whose
 ValueError becomes ``<section>: <key> ...``. The seed is the top-level
-one; RunConfig copies it into ``train.seed``, the training stream's key, so
-a manifest's ``features``, ``train`` and ``loss`` reproduce its checkpoint
-through ``model.train`` (``train.seed``, ``train.beta_lr_scale`` and
-``train.scenes_per_batch`` are not keys). Scan labels must lie in the
-label space, 1..num_classes + 2. The other sections check their values in
-``__post_init__``, where scan also builds its ScanConfig. Angles are degrees, converted by
-``ScanSection.build``, except the merge's angular windows, which follow
-SynthesisConfig (radians).
+one, an integer in [0, 2**64 - 1] (an RngStream key is 64 bits, so no two
+seeds share a stream); RunConfig copies it into ``train.seed``, the
+training stream's key, so a manifest's ``features``, ``train`` and
+``loss`` reproduce its checkpoint through ``model.train`` (``train.seed``,
+``train.beta_lr_scale`` and ``train.scenes_per_batch`` are not keys).
+Scan labels must lie in the label space, 1..num_classes + 2. The other
+sections check their values in ``__post_init__``, where scan also builds
+its ScanConfig. Angles are degrees, converted by ``ScanSection.build``,
+except the merge's angular windows, which follow SynthesisConfig (radians).
 
 Every command writes a RunManifest JSON, ``<command>.manifest.json``,
 next to its outputs (``write_manifest``): the resolved config snapshot,
@@ -36,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import INT64_MAX, LabelSpace
-from .io import PrimitiveObstacle, ScanConfig, atomic_write
+from .core import INT64_MAX, UINT64_MAX, LabelSpace
+from .io import PrimitiveObstacle, ScanConfig, write_json
 from .losses import LossConfig
 from .model import FeatureConfig, TrainConfig
 from .synthesis import SynthesisConfig
@@ -157,6 +158,8 @@ class RunConfig:
     gradcheck: GradcheckSection = field(default_factory=GradcheckSection)
 
     def __post_init__(self):
+        if not 0 <= self.seed <= UINT64_MAX:  # RngStream keys on 64 bits
+            raise ConfigError("seed: must be in [0, 2**64 - 1]")
         if self.num_classes < 1:
             raise ConfigError("num_classes: must be >= 1")
         if self.scan_count < 1:
@@ -286,5 +289,4 @@ def write_manifest(directory, command: str, cfg: RunConfig, inputs: dict[str, st
         "inputs": dict(sorted(inputs.items())),
         "outputs": sorted(Path(p).name for p in outputs),
     }
-    atomic_write(Path(directory) / f"{command}.manifest.json",
-                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(Path(directory) / f"{command}.manifest.json", payload)

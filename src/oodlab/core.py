@@ -21,7 +21,7 @@ TAU = 2.0 * np.pi
 # The largest count numpy takes as a draw's parameter or an array size.
 INT64_MAX = int(np.iinfo(np.int64).max)
 
-_MASK64 = (1 << 64) - 1
+UINT64_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class RngStream:
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed & UINT64_MAX, self.stream & UINT64_MAX], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

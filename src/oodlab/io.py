@@ -11,8 +11,9 @@ to point sets by area-weighted surface sampling. Point lists are +z-up and
 meshes +y-up (the ShapeNet convention); ``load_asset`` rotates a sampled
 mesh onto +z, so every loaded asset is +z-up.
 
-``atomic_write`` is the package's only file writer: every artifact goes to
-a temp file that is then renamed over its target, so a reader never sees a
+``io`` holds every artifact format: scene pairs, CSV (``write_csv``) and
+JSON (``write_json``), each written by ``atomic_write``, the only file
+writer: a temp file is renamed over its target, so a reader never sees a
 partial file and a failed write leaves the previous file intact.
 
 A scene pair (``read_scene``), asset (``load_asset``) or checkpoint
@@ -23,6 +24,7 @@ message begins with the file's path.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -106,6 +108,24 @@ def atomic_write(path, data) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def _cell(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return "NA" if math.isnan(value) else repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """UTF-8, LF-terminated CSV of ``header`` and ``rows``: a float cell is
+    ``repr(float(v))``, NaN is ``NA``, and ints and strings are as they are."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON: indent 2, sorted keys, LF-terminated."""
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_bytes(path) -> bytes:

@@ -1,5 +1,6 @@
 """Evaluation machinery: AUPR, AUROC, inlier mIoU, coverage, empirical
 selective risk, the four coverage-curve families, and the p^o histogram.
+This module computes only; ``io.write_csv`` writes the results.
 
 Scores follow the convention "higher = more anomalous" with the outlier
 class as positive. The abstention rule is: predict iff score < tau, abstain
@@ -12,7 +13,7 @@ at each threshold: they measure how well the score still separates
 outliers among the points the model predicts on. (Computed over all points
 instead, they would not change with the threshold, which leaves the scores'
 ranking as it is.)
-Undefined curve points (e.g. a single-class covered subset) are emitted as
+Undefined curve points (e.g. a single-class covered subset) are NaN,
 explicit gaps ("NA" in CSV output), never interpolated.
 
 ``threshold_for_coverage`` and ``coverage_curves`` share one threshold rule
@@ -31,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .io import atomic_write
 
 
 class UndefinedMetricError(ValueError):
@@ -324,27 +323,3 @@ def po_histogram(scores, is_outlier) -> Histogram:
         outlier_counts=np.bincount(bins[out], minlength=10),
     )
 
-
-def _fmt(v: float) -> str:
-    return "NA" if np.isnan(v) else repr(float(v))
-
-
-def write_curves_csv(path, curves: CoverageCurves) -> None:
-    """UTF-8, LF-terminated CSV: coverage,threshold,risk,aupr,auroc,
-    written atomically."""
-    lines = ["coverage,threshold,risk,aupr,auroc"]
-    columns = (curves.coverage, curves.threshold, curves.risk, curves.aupr, curves.auroc)
-    lines += [",".join(map(_fmt, row)) for row in zip(*columns)]
-    atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_histogram_csv(path, hist: Histogram) -> None:
-    """UTF-8, LF-terminated CSV: bin_lo,bin_hi,inlier_count,outlier_count,
-    written atomically."""
-    lines = ["bin_lo,bin_hi,inlier_count,outlier_count"]
-    for i in range(10):
-        lines.append(
-            f"{_fmt(hist.bin_edges[i])},{_fmt(hist.bin_edges[i + 1])},"
-            f"{int(hist.inlier_counts[i])},{int(hist.outlier_counts[i])}"
-        )
-    atomic_write(path, "\n".join(lines) + "\n")

@@ -127,7 +127,8 @@ def _density_column(scene: Scene, radius: float) -> np.ndarray:
 def extract_features(scene: Scene, cfg: FeatureConfig) -> np.ndarray:
     """(n, d) feature matrix in the configured order, a fresh array on every
     call; the density column is counted once per Scene and radius
-    (``FeatureConfig``)."""
+    (``FeatureConfig``). A divisor so small that a scaled value overflows
+    raises ValueError naming the feature and its divisor."""
     columns = {}
     need_sph = {"r", "lat", "lon"} & set(cfg.features)
     if need_sph:
@@ -138,10 +139,15 @@ def extract_features(scene: Scene, cfg: FeatureConfig) -> np.ndarray:
             columns[name] = scene.points[:, axis]
     if "density" in cfg.features:
         columns["density"] = _density_column(scene, cfg.density_radius)
-    out = np.stack(
-        [columns[name] / cfg.normalizers.get(name, 1.0) for name in cfg.features],
-        axis=1,
-    )
+    with np.errstate(over="ignore"):  # an overflow is named below
+        out = np.stack(
+            [columns[name] / cfg.normalizers.get(name, 1.0) for name in cfg.features],
+            axis=1,
+        )
+    if not np.isfinite(out).all():
+        name = next(n for n, col in zip(cfg.features, out.T) if not np.isfinite(col).all())
+        raise ValueError(f"features.normalizers[{name!r}]: dividing by "
+                         f"{cfg.normalizers[name]!r} scales {name} beyond the double range")
     return out
 
 

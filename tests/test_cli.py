@@ -195,6 +195,36 @@ class TestConfig:
         assert load_config(path).train.seed == 5
         assert load_config(path, {"seed": 9}).train.seed == 9
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("given_by", ["file", "flag"])
+    def test_seed_outside_64_bits_named(self, tmp_path, monkeypatch, capsys, seed, given_by):
+        # RngStream keys on 64 bits: -1 and 2**64 - 1 would draw the same stream
+        monkeypatch.chdir(tmp_path)
+        argv = ["genscan", "--seed", str(seed)]
+        if given_by == "file":
+            argv = ["genscan", "--config", write_config(tmp_path / "c.json", seed=seed)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: seed: must be in [0, 2**64 - 1]\n"
+        assert not (tmp_path / "data").exists()
+
+    def test_largest_seed_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", seed=2**64 - 1, scan_count=1,
+                           scan=tiny_scan_section())
+        assert main(["genscan", "--config", cfg]) == EXIT_OK
+        manifest = json.loads((tmp_path / "data/scans/genscan.manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["train"]["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["genscan", "--jobs", jobs])
+        assert exc.value.code == EXIT_CONFIG
+        assert (f"argument --jobs: must be an integer >= 1, got '{jobs}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "data").exists()
+
     def test_train_beta_lr_scale_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.json", train={"beta_lr_scale": 0.5})
@@ -493,6 +523,18 @@ class TestSynth:
                               "placement_max_frac 0.01 leaves no placement range: r_min ")
         assert not (scan_tree / "data/synth/000000.bin").exists()
 
+    def test_jobs_flag_preserves_output(self, scan_tree, capsys):
+        cfg = write_config(scan_tree / "s.json", synthesis={
+            "mode": "both", "object_count_trials": 4, "object_count_prob": 1.0})
+        runs = []
+        for jobs in ("1", "2"):
+            assert main(["synth", "--config", cfg, "--jobs", jobs, "--force"]) == EXIT_OK
+            files = {p.name: p.read_bytes() for p in (scan_tree / "data/synth").iterdir()}
+            runs.append((files, capsys.readouterr()))
+        assert len(runs[0][0]) == 6  # two scene pairs, the merge reports, the manifest
+        assert json.loads(runs[0][0]["merge_reports.json"])["000000"]
+        assert runs[0] == runs[1]
+
     def test_both_mode_runs(self, scan_tree):
         cfg = write_config(scan_tree / "s.json", synthesis={"mode": "both"})
         assert main(["synth", "--config", cfg]) == EXIT_OK
@@ -606,6 +648,72 @@ def test_collision_checked_before_inputs_are_read(scan_tree, capsys):
                    ("data/synth/000001.label", "out/train_log.csv", "out/curves.csv")]
 
 
+@pytest.fixture
+def no_work(scan_tree, monkeypatch):
+    """``scan_tree`` with a checkpoint file, where every command's work
+    (generating, reading an input, training, checking) fails if it starts."""
+    import oodlab.cli as cli_mod
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+
+    for name in ("generate_scan", "read_scene", "load_asset_dir", "load_checkpoint", "train",
+                 "run_gradient_checks"):
+        monkeypatch.setattr(cli_mod, name, work)
+    (scan_tree / "m.ckpt").write_bytes(b"NOPE")
+    return scan_tree
+
+
+def tree_state(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+READS = {"train_dir": "data/scans", "eval_dir": "data/scans"}
+
+# command: (config, an output of the command)
+DIRECTORY_OUTPUT = {
+    "genscan": ({"scan_dir": "new"}, "new/000000.bin"),
+    "synth": ({}, "data/synth/merge_reports.json"),
+    "train": (READS, "out/train_log.csv"),
+    "eval": ({**READS, "checkpoint": "m.ckpt"}, "out/summary.csv"),
+    "gradcheck": ({}, "out/gradcheck.csv"),
+}
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
+@pytest.mark.parametrize("command", list(DIRECTORY_OUTPUT))
+def test_output_that_is_a_directory(no_work, capsys, command, force):
+    data, output = DIRECTORY_OUTPUT[command]
+    (no_work / output).mkdir(parents=True)
+    cfg = write_config(no_work / "c.json", **data)
+    before = tree_state(no_work)
+    assert main([command, "--config", cfg, *force]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: output is a directory: {Path(output)}\n"
+    assert tree_state(no_work) == before
+
+
+# command: (config placing an output under the regular file f, that output)
+OUTPUT_UNDER_A_FILE = {
+    "genscan": ({"scan_dir": "f/scans"}, "f/scans/000000.bin"),
+    "synth": ({"synth_dir": "f"}, "f/000000.bin"),
+    "train": ({**READS, "checkpoint": "f/m.ckpt"}, "f/m.ckpt"),
+    "eval": ({**READS, "checkpoint": "m.ckpt", "out_dir": "f/sub"}, "f/sub/summary.csv"),
+    "gradcheck": ({"out_dir": "f/sub"}, "f/sub/gradcheck.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_UNDER_A_FILE))
+def test_output_under_a_file(no_work, capsys, command):
+    data, output = OUTPUT_UNDER_A_FILE[command]
+    (no_work / "f").write_text("a file\n")
+    cfg = write_config(no_work / "c.json", **data)
+    before = tree_state(no_work)
+    assert main([command, "--config", cfg, "--force"]) == EXIT_CONFIG
+    assert (capsys.readouterr().err
+            == f"config error: output {Path(output)}: f is not a directory\n")
+    assert tree_state(no_work) == before
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats is the slowest scipy import and metrics.auroc ranks with numpy
     code = ("import sys; sys.path[:0] = %r; import oodlab.cli; "
@@ -709,6 +817,19 @@ class TestEval:
         assert "warning: eval set contains no inlier points" in capsys.readouterr().err
         rows = (tmp_path / "out/summary.csv").read_text().splitlines()
         assert [row.split(",")[3] for row in rows[1:]] == ["NA"] * 3
+
+    def test_jobs_flag_preserves_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, ckpt = make_perfect_fixture(tmp_path)
+        cfg = self.eval_config(tmp_path, scenes_dir, ckpt)
+        runs = []
+        for jobs in ("1", "2"):
+            assert main(["eval", "--config", cfg, "--jobs", jobs, "--force"]) == EXIT_OK
+            files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+            runs.append((files, capsys.readouterr()))
+        assert sorted(runs[0][0]) == ["curves.csv", "eval.manifest.json", "histogram.csv",
+                                      "summary.csv"]
+        assert runs[0] == runs[1]
 
     def test_missing_checkpoint(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1009,6 +1130,39 @@ class TestMalformedInput:
         self.expect(capsys, ["eval", "--config", cfg], EXIT_CONFIG, f"perfect.ckpt: {named}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_train_normalizer_overflow_named(self, tmp_path, monkeypatch, capsys, jobs):
+        # z / 1e-310 overflows for z = 2: the config is at fault, not the training
+        monkeypatch.chdir(tmp_path)
+        TestTrain().write_train_scenes(tmp_path, with_outliers=True)
+        cfg = write_config(tmp_path / "t.json", num_classes=2, train_dir="train_scenes",
+                           features={"features": ["z"], "normalizers": {"z": 1e-310}},
+                           train={"loss_mode": "ce", "epochs": 1, "hidden_sizes": [8]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", cfg, "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: train_scenes: features.normalizers['z']: dividing by 1e-310 "
+            "scales z beyond the double range\n")
+        assert not caught
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_eval_normalizer_overflow_named(self, tmp_path, monkeypatch, capsys, jobs):
+        monkeypatch.chdir(tmp_path)
+        scenes_dir, ckpt = make_perfect_fixture(tmp_path)
+        data = json.loads(Path(TestEval().eval_config(tmp_path, scenes_dir, ckpt)).read_text())
+        cfg = write_config(tmp_path / "e.json", **{
+            **data, "features": {"features": ["z"], "normalizers": {"z": 1e-310}}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--config", cfg, "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {scenes_dir / '000000.bin'}: features.normalizers['z']: "
+            "dividing by 1e-310 scales z beyond the double range\n")
+        assert not caught
+        assert not (tmp_path / "out").exists()
+
     def test_eval_label_outside_space(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         scenes_dir, ckpt = make_perfect_fixture(tmp_path)
@@ -1067,5 +1221,5 @@ class TestMalformedInput:
         (tmp_path / "out/model.ckpt").mkdir(parents=True)
         cfg = TestTrain().train_config(tmp_path, mode="abstain+static")
         self.expect(capsys, ["train", "--config", cfg, "--force"], EXIT_CONFIG,
-                    f"config error: checkpoint: {Path('out/model.ckpt')} is a directory")
+                    f"config error: output is a directory: {Path('out/model.ckpt')}")
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["model.ckpt"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodlab.core import RngStream
+from oodlab.io import write_csv
 from oodlab.metrics import (
     CoverageCurves,
     Histogram,
@@ -21,8 +22,6 @@ from oodlab.metrics import (
     po_histogram,
     selective_risk,
     threshold_for_coverage,
-    write_curves_csv,
-    write_histogram_csv,
 )
 
 
@@ -418,6 +417,18 @@ def small_curves():
         aupr=np.array([np.nan, 0.75]),
         auroc=np.array([0.5, 1.0]),
     )
+
+
+def write_curves_csv(path, c: CoverageCurves):
+    """The curves as ``oodlab eval`` writes curves.csv."""
+    write_csv(path, ["coverage", "threshold", "risk", "aupr", "auroc"],
+              zip(c.coverage, c.threshold, c.risk, c.aupr, c.auroc))
+
+
+def write_histogram_csv(path, h: Histogram):
+    """The histogram as ``oodlab eval`` writes histogram.csv."""
+    write_csv(path, ["bin_lo", "bin_hi", "inlier_count", "outlier_count"],
+              zip(h.bin_edges[:-1], h.bin_edges[1:], h.inlier_counts, h.outlier_counts))
 
 
 class TestCsvOutput:

@@ -68,6 +68,15 @@ class TestExtractFeatures:
         feats = extract_features(scene, cfg)
         assert np.allclose(feats, [[1.0, 3.0, 2.0]])
 
+    def test_overflowing_normalizer_named(self):
+        # 4 / 1e-310 is beyond the double range; 3 / 1e-300 is not
+        scene = Scene(points=np.array([[3.0, 0.0, 4.0]]), labels=np.array([1]))
+        cfg = FeatureConfig(features=("x", "z"), normalizers={"x": 1e-300, "z": 1e-310})
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"^features\.normalizers\['z'\]: dividing "
+                                                 r"by 1e-310 scales z beyond the double range$"):
+                extract_features(scene, cfg)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FeatureConfig(features=())
