@@ -9,8 +9,10 @@ say), 3 output collision, 4 numeric failure (training diverged, or eval's
 network overflowed), 5 malformed or unreadable data file (a scene, asset
 or checkpoint; the message names the file).
 ``config.load_config`` checks the whole config before any command runs,
-so a bad value in any section exits 2 for every command, as do inputs
-that contradict the config, a scan section that casts no returns and a
+so a bad value in any section exits 2 for every command (an integer key
+above 2**63 - 1, which numpy cannot take, or a ``metrics.grid_size``
+above ``config.MAX_GRID_SIZE``, say), as do inputs that contradict the
+config, a scan section that casts no returns and a
 ``features.normalizers`` divisor that overflows the scaled features.
 
 All randomness flows from the top-level seed through stream ids, one
@@ -19,15 +21,17 @@ STREAM_SYNTH - 1 (mesh samples) and STREAM_SYNTH + i (scene i), and train
 from ``model.STREAM_TRAIN``, the stream ``model.train`` takes without an
 ``rng``, so the train manifest's config reproduces the checkpoint.
 
-Each command states its output files once. Before it reads an input file
-or does any work, ``_check_outputs`` rejects an output that is a directory
-or lies under a file (exit 2, naming the path) and, without --force, one
-that exists (exit 3). The output directories are made just before the
-first write, and ``io`` writes every file atomically (temp file + rename).
-The outputs are listed in a RunManifest, ``<command>.manifest.json`` in
-the command's output directory (genscan: scan_dir, synth: synth_dir, the
-others: out_dir), so no command overwrites another's. A scene label
-outside 1..num_classes + 2 exits 2, naming the .label file.
+Each command states its output files once. The outputs are listed in a
+RunManifest, ``<command>.manifest.json`` in the command's output directory
+(genscan: scan_dir, synth: synth_dir, the others: out_dir), so no command
+overwrites another's. Before it reads an input file or does any work,
+``_check_outputs`` rejects an output or manifest that is a directory or
+lies under a file (exit 2, naming the path) and, without --force, an
+output that exists (exit 3); a manifest is rewritten. The output
+directories are made just before the first write, and ``io`` writes every
+file atomically: to a temp file it creates beside the target, then a
+rename, so no other file is touched. A scene label outside
+1..num_classes + 2 exits 2, naming the .label file.
 
 ``gradcheck`` sets only the instance count and size; the check itself runs
 at ``run_gradient_checks``'s defaults, against ``GRADCHECK_TOLERANCE``.
@@ -104,11 +108,11 @@ def _parallel(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def _check_outputs(paths, force: bool):
-    """An output path that is a directory, or whose nearest existing ancestor
-    is not one, is a ConfigError; then, without ``force``, one that exists is
-    a collision."""
-    for path in map(Path, paths):
+def _check_outputs(paths, force: bool, manifest: Path):
+    """An output path or ``manifest`` that is a directory, or whose nearest
+    existing ancestor is not one, is a ConfigError; then, without ``force``,
+    an output path that exists is a collision (a manifest is rewritten)."""
+    for path in map(Path, [*paths, manifest]):
         if path.is_dir():
             raise ConfigError(f"output is a directory: {path}")
         ancestor = next((a for a in path.parents if a.exists()), None)
@@ -159,7 +163,7 @@ def cmd_genscan(cfg: RunConfig, force: bool, jobs: int) -> int:
     pairs = [(out_dir / f"{i:06d}.bin", out_dir / f"{i:06d}.label")
              for i in range(cfg.scan_count)]
     targets = [f for pair in pairs for f in pair]
-    _check_outputs(targets, force)
+    _check_outputs(targets, force, cfgmod.manifest_path(out_dir, "genscan"))
     scan_cfg = cfg.scan.build()
     try:  # a scan that casts no returns
         scenes = _parallel(lambda i: generate_scan(scan_cfg, RngStream(cfg.seed, i)),
@@ -187,7 +191,7 @@ def cmd_synth(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_pairs = [(out_dir / p.name, out_dir / l.name) for p, l in pairs]
     report_path = out_dir / "merge_reports.json"
     targets = [f for pair in out_pairs for f in pair] + [report_path]
-    _check_outputs(targets, force)
+    _check_outputs(targets, force, cfgmod.manifest_path(out_dir, "synth"))
 
     assets = []
     if asset_files:
@@ -244,7 +248,7 @@ def cmd_train(cfg: RunConfig, force: bool, jobs: int) -> int:
     ckpt_path = Path(cfg.resolved_checkpoint())
     log_path = out_dir / "train_log.csv"
     targets = [ckpt_path, log_path]
-    _check_outputs(targets, force)
+    _check_outputs(targets, force, cfgmod.manifest_path(out_dir, "train"))
     scenes = [_checked_scene(pair, space) for pair in pairs]
 
     try:
@@ -274,7 +278,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_dir = Path(cfg.out_dir)
     paths = {name: out_dir / f"{name}.csv" for name in ("summary", "curves", "histogram")}
     targets = list(paths.values())
-    _check_outputs(targets, force)
+    _check_outputs(targets, force, cfgmod.manifest_path(out_dir, "eval"))
 
     params, _beta = load_checkpoint(ckpt_path)
     got = (params.layer_sizes[0], params.layer_sizes[-1])
@@ -345,7 +349,7 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
 def cmd_gradcheck(cfg: RunConfig, force: bool, jobs: int) -> int:
     out_dir = Path(cfg.out_dir)
     report_path = out_dir / "gradcheck.csv"
-    _check_outputs([report_path], force)
+    _check_outputs([report_path], force, cfgmod.manifest_path(out_dir, "gradcheck"))
     results = run_gradient_checks(num_instances=cfg.gradcheck.instances,
                                   max_points=cfg.gradcheck.max_points, seed=cfg.seed)
 

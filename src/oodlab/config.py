@@ -116,13 +116,24 @@ class ScanSection:
         )
 
 
+MAX_GRID_SIZE = 10**6
+
+
 @dataclass
 class MetricsSection:
+    """``grid_size`` target coverages for the coverage curves, at most
+    MAX_GRID_SIZE so that the grid's arrays stay small: each grid point is a
+    row of curves.csv and an O(n) AUPR sweep, and a grid finer than the eval
+    set's n points only repeats rows. A million is far above the 100 every
+    run uses and the desk eval set's 190k points."""
+
     grid_size: int = 100
 
     def __post_init__(self):
         if self.grid_size < 1:
             raise ConfigError("metrics.grid_size: must be >= 1")
+        if self.grid_size > MAX_GRID_SIZE:
+            raise ConfigError(f"metrics.grid_size: must be <= {MAX_GRID_SIZE}")
 
 
 @dataclass
@@ -135,6 +146,8 @@ class GradcheckSection:
             raise ConfigError("gradcheck.instances: must be >= 1")
         if self.max_points < 2:
             raise ConfigError("gradcheck.max_points: must be >= 2")
+        if self.max_points > INT64_MAX:  # numpy draws the instance sizes
+            raise ConfigError("gradcheck.max_points: must be <= 2**63 - 1")
 
 
 @dataclass
@@ -275,11 +288,16 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
+def manifest_path(directory, command: str) -> Path:
+    """``directory/<command>.manifest.json``: each command has its own
+    manifest, so commands sharing a directory keep each other's."""
+    return Path(directory) / f"{command}.manifest.json"
+
+
 def write_manifest(directory, command: str, cfg: RunConfig, inputs: dict[str, str],
                    outputs) -> None:
-    """Write ``directory/<command>.manifest.json``, recording the file names
-    of the ``outputs`` paths: each command has its own manifest, so
-    commands sharing a directory keep each other's."""
+    """Write the ``manifest_path`` of ``command`` in ``directory``,
+    recording the file names of the ``outputs`` paths."""
     payload = {
         "artifact_version": ARTIFACT_VERSION,
         "command": command,
@@ -289,4 +307,4 @@ def write_manifest(directory, command: str, cfg: RunConfig, inputs: dict[str, st
         "inputs": dict(sorted(inputs.items())),
         "outputs": sorted(Path(p).name for p in outputs),
     }
-    write_json(Path(directory) / f"{command}.manifest.json", payload)
+    write_json(manifest_path(directory, command), payload)

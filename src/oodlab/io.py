@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,19 +96,22 @@ class TriangleMesh:
 
 
 def atomic_write(path, data) -> None:
-    """Write ``data`` (bytes, or text as UTF-8) to ``path`` through the
-    temp file ``<path>.tmp`` and ``os.replace``; the temp file is removed
-    if either step fails."""
+    """Write ``data`` (bytes, or text as UTF-8) to ``path`` through a new
+    temp file beside it and ``os.replace``. The temp file,
+    ``<path>.<16 random hex digits>.tmp``, is created exclusively, with the
+    mode ``open`` gives (0666 less the umask), so no file already there is
+    touched; it is removed if either step fails."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _cell(value) -> str:

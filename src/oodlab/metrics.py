@@ -1,6 +1,6 @@
-"""Evaluation machinery: AUPR, AUROC, inlier mIoU, coverage, empirical
-selective risk, the four coverage-curve families, and the p^o histogram.
-This module computes only; ``io.write_csv`` writes the results.
+"""Evaluation machinery: AUPR, AUROC, inlier mIoU, the four coverage-curve
+families, and the p^o histogram. This module computes only;
+``io.write_csv`` writes the results.
 
 Scores follow the convention "higher = more anomalous" with the outlier
 class as positive. The abstention rule is: predict iff score < tau, abstain
@@ -8,28 +8,27 @@ otherwise, so coverage is non-decreasing in tau. Selective risk is the
 complement of the inlier mIoU on the covered subset, divided by coverage;
 at full coverage it reduces to 100 - mIoU exactly.
 
-AUPR/AUROC points of the coverage curves are computed on the covered subset
-at each threshold: they measure how well the score still separates
-outliers among the points the model predicts on. (Computed over all points
-instead, they would not change with the threshold, which leaves the scores'
-ranking as it is.)
-Undefined curve points (e.g. a single-class covered subset) are NaN,
-explicit gaps ("NA" in CSV output), never interpolated.
-
 ``threshold_for_coverage`` and ``coverage_curves`` share one threshold rule
 (``_coverage_cuts``): the candidates are the distinct scores plus a top
-sentinel, so a threshold never splits a tie block and the covered set
-score < tau is always a prefix of the ascending score order. The curves
-therefore sort once and read every grid point from prefix counts (confusion
-counts, positives and midrank sums per tie block) instead of re-sorting each
-covered subset: one O(n log n) sort plus O(m * B) for the AUPR sweeps over m
-grid points and B tie blocks. Each curve value equals ``miou_old``,
-``aupr`` or ``auroc`` on the covered subset bit for bit.
+sentinel, so a threshold never splits a tie block, and the covered set
+score < tau is the first tie blocks of the ascending score order.
+
+Each metric has one implementation, a kernel over the first b tie blocks of
+an ascending order: ``_miou`` reads their confusion count, and ``_aupr``
+and ``_auroc`` the block statistics of ``_tie_blocks``. ``miou_old``,
+``aupr`` and ``auroc`` run their kernel on all the blocks, and a coverage
+curve runs it on the covered ones, so each curve value is its metric on
+the covered subset by construction. The curves' AUPR/AUROC thus measure
+how well the score still separates outliers among the points the model
+predicts on (over all points they would not change with the threshold).
+An undefined curve point (e.g. a single-class covered subset) is NaN, an
+explicit gap ("NA" in CSV output), never interpolated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,46 +60,113 @@ class ScoredPoints:
             raise ValueError("scores must be finite")
 
 
-def auroc(scores, is_outlier) -> float:
-    """Rank-based (Mann-Whitney) AUROC with midrank tie handling."""
-    scores = np.asarray(scores, dtype=np.float64)
-    pos = np.asarray(is_outlier, dtype=bool)
-    n_pos = int(pos.sum())
-    n_neg = len(scores) - n_pos
+class _TieBlocks(NamedTuple):
+    """The tie blocks of an ascending score order, as prefix sums over
+    blocks: block j starts at ``starts[j]``, and ``cum_pos[j]`` and
+    ``cum_rank2[j]`` are the positives in blocks 0..j-1 and twice the sum of
+    their midranks (block j's doubled midrank is its start + 1 + its end)."""
+
+    starts: np.ndarray
+    cum_pos: np.ndarray
+    cum_rank2: np.ndarray
+
+
+def _tie_starts(sorted_scores: np.ndarray) -> np.ndarray:
+    """The first position of each run of equal ascending scores; -0.0 and
+    0.0 are equal."""
+    return np.flatnonzero(np.r_[sorted_scores.size > 0, sorted_scores[1:] != sorted_scores[:-1]])
+
+
+def _tie_blocks(starts: np.ndarray, sorted_is_outlier: np.ndarray) -> _TieBlocks:
+    """The blocks starting at ``starts`` of an ascending order whose outlier
+    flags are ``sorted_is_outlier``."""
+    block_pos = np.add.reduceat(sorted_is_outlier, starts, dtype=np.int64)
+    ends = np.append(starts[1:], len(sorted_is_outlier))
+    cum_pos = np.concatenate(([0], np.cumsum(block_pos)))
+    cum_rank2 = np.concatenate(([0], np.cumsum(block_pos * (starts + 1 + ends))))
+    return _TieBlocks(starts, cum_pos, cum_rank2)
+
+
+def _aupr(blocks: _TieBlocks, k: int, b: int) -> float:
+    """AUPR of the first ``b`` tie blocks, ``k`` points. The descending
+    sweep visits blocks b-1..0; block j has tp = the positives in blocks
+    j..b-1 and precision tp / (k - starts[j]), and the area sums each recall
+    step times its precision."""
+    n_pos = int(blocks.cum_pos[b])
+    if n_pos == 0:
+        raise UndefinedMetricError("AUPR needs at least one positive")
+    # in place: the curves run this sweep once per distinct cut
+    tp = np.subtract(n_pos, blocks.cum_pos[b - 1::-1], dtype=np.float64)
+    area = np.subtract(k, blocks.starts[b - 1::-1], dtype=np.float64)
+    np.divide(tp, area, out=area)  # the precisions
+    recall = np.divide(tp, n_pos, out=tp)
+    area[0] *= recall[0]
+    area[1:] *= recall[1:] - recall[:-1]
+    return float(area.sum())
+
+
+def _auroc(blocks: _TieBlocks, k: int, b: int) -> float:
+    """Mann-Whitney AUROC of the first ``b`` tie blocks, ``k`` points, from
+    the positives' midrank sum: exact, a half-integer below 2**52."""
+    n_pos = int(blocks.cum_pos[b])
+    n_neg = k - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs at least one positive and one negative")
-    if np.isnan(scores).any():  # a NaN has no rank: the AUROC is NaN
-        return float("nan")
-    # midranks: the tie block at sorted positions start..end-1 shares the
-    # rank (start + 1 + end) / 2, a half-integer, so any sort kind gives them
+    rank_sum = blocks.cum_rank2[b] / 2.0
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _whole_set(kernel, scores, is_outlier) -> float:
+    """``kernel`` on all the points. Block statistics do not depend on the
+    order within a tie block, so any sort kind serves."""
+    scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(scores)
     sorted_scores = scores[order]
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], len(scores)]
-    ranks = np.empty(len(scores))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    starts = _tie_starts(sorted_scores)
+    value = kernel(_tie_blocks(starts, np.asarray(is_outlier, dtype=bool)[order]),
+                   len(scores), len(starts))
+    # argsort puts NaN last, and a NaN has no rank: the metric is NaN
+    return float("nan") if np.isnan(sorted_scores[-1]) else value
+
+
+def auroc(scores, is_outlier) -> float:
+    """Rank-based (Mann-Whitney) AUROC with midrank tie handling."""
+    return _whole_set(_auroc, scores, is_outlier)
 
 
 def aupr(scores, is_outlier) -> float:
     """Average precision over the descending-score sweep, with step
     interpolation and tied scores processed as one block."""
-    scores = np.asarray(scores, dtype=np.float64)
-    pos = np.asarray(is_outlier, dtype=bool)
-    n_pos = int(pos.sum())
-    if n_pos == 0:
-        raise UndefinedMetricError("AUPR needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    s_sorted = scores[order]
-    y_sorted = pos[order].astype(np.float64)
-    # last index of each tie block
-    block_end = np.flatnonzero(np.diff(s_sorted) != 0.0)
-    block_end = np.append(block_end, len(s_sorted) - 1)
-    tp = np.cumsum(y_sorted)[block_end]
-    total = block_end + 1.0
-    precision = tp / total
-    recall = tp / n_pos
-    return float(np.sum(np.diff(recall, prepend=0.0) * precision))
+    return _whole_set(_aupr, scores, is_outlier)
+
+
+def _confusions(true, pred, num_classes: int, order, cuts) -> np.ndarray:
+    """The inlier confusion counts of the points ``order[:k]``, for each k
+    in ascending ``cuts``: one (c+1, c+1) true-by-predicted matrix per cut,
+    with labels outside 1..c folded into row/column 0 and ground-truth
+    outliers (true > c) left out. Counted segment by segment between cuts."""
+    c = num_classes
+    w = c + 1
+    cell = np.where((true >= 1) & (true <= c), true, 0)
+    cell *= w
+    cell += np.where((pred >= 1) & (pred <= c), pred, 0)
+    cell[true > c] = w * w  # the last cell holds the ground-truth outliers
+    counts = [np.bincount(part, minlength=w * w + 1) for part in np.split(cell[order], cuts)[:-1]]
+    return np.reshape(counts, (len(cuts), w * w + 1))[:, :-1].cumsum(axis=0).reshape(-1, w, w)
+
+
+def _miou(confusion: np.ndarray) -> float:
+    """Mean IoU ×100 of a ``_confusions`` matrix over the classes 1..c
+    present on either side."""
+    if not confusion.any():
+        raise UndefinedMetricError("no inlier ground truth present")
+    in_true = confusion.sum(axis=1)[1:]
+    in_pred = confusion.sum(axis=0)[1:]
+    present = (in_true + in_pred) > 0
+    hits = confusion.diagonal()[1:][present].astype(np.float64)
+    fp = in_pred[present] - hits
+    fn = in_true[present] - hits
+    return 100.0 * float(np.mean(hits / (hits + fp + fn)))
 
 
 def miou_old(pred_labels, true_labels, num_classes: int) -> float:
@@ -111,47 +177,16 @@ def miou_old(pred_labels, true_labels, num_classes: int) -> float:
     absent from both ground truth and prediction on the evaluated subset are
     excluded from the mean.
     """
-    pred = np.asarray(pred_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
-    keep = true <= num_classes
-    if not keep.any():
-        raise UndefinedMetricError("no inlier ground truth present")
-    pred = pred[keep]
-    true = true[keep]
-    ious = []
-    for k in range(1, num_classes + 1):
-        in_true = true == k
-        in_pred = pred == k
-        if not (in_true.any() or in_pred.any()):
-            continue
-        tp = float(np.sum(in_true & in_pred))
-        fp = float(np.sum(~in_true & in_pred))
-        fn = float(np.sum(in_true & ~in_pred))
-        ious.append(tp / (tp + fp + fn))
-    return 100.0 * float(np.mean(ious))
+    pred = np.asarray(pred_labels, dtype=np.int64)
+    return _miou(_confusions(true, pred, num_classes, slice(None), [len(true)])[0])
 
 
-def coverage(scores, tau: float) -> float:
-    """Fraction of points the model predicts on: score < tau."""
-    scores = np.asarray(scores, dtype=np.float64)
-    return float(np.mean(scores < tau))
-
-
-def selective_risk(points: ScoredPoints, tau: float, num_classes: int) -> float:
-    """(100 - mIoU on the covered subset) / coverage."""
-    covered = points.scores < tau
-    phi = float(covered.mean())
-    if phi == 0.0:
-        raise UndefinedMetricError("zero coverage")
-    miou = miou_old(points.pred_labels[covered], points.true_labels[covered], num_classes)
-    return (100.0 - miou) / phi
-
-
-def _coverage_cuts(sorted_scores: np.ndarray, targets):
-    """The one threshold rule, over ascending scores. Returns the start of
-    each tie block and, for each target coverage, the smallest candidate
-    threshold whose coverage reaches it, the number of points it covers
-    (score < tau) and the number of tie blocks those make up.
+def _coverage_cuts(sorted_scores: np.ndarray, starts: np.ndarray, targets):
+    """The one threshold rule, over ascending scores with tie blocks
+    starting at ``starts``. Returns, for each target coverage, the smallest
+    candidate threshold whose coverage reaches it, the number of points it
+    covers (score < tau) and the number of tie blocks those make up.
 
     Candidates are the distinct score values plus a top sentinel (1.0 when
     all scores are below 1, else just above the maximum). The candidate
@@ -159,7 +194,6 @@ def _coverage_cuts(sorted_scores: np.ndarray, targets):
     sentinel covers all n.
     """
     n = len(sorted_scores)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_scores) != 0.0) + 1))
     cand = sorted_scores[starts]
     top = 1.0 if cand[-1] < 1.0 else np.nextafter(cand[-1], np.inf)
     cand = np.append(cand, top)
@@ -169,7 +203,7 @@ def _coverage_cuts(sorted_scores: np.ndarray, targets):
     unreachable = np.flatnonzero(j >= len(cand))
     if unreachable.size:
         raise UndefinedMetricError(f"coverage {float(targets[unreachable[0]])} unreachable")
-    return starts, cand[j], counts[j], j
+    return cand[j], counts[j], j
 
 
 def threshold_for_coverage(scores, target: float) -> float:
@@ -177,7 +211,7 @@ def threshold_for_coverage(scores, target: float) -> float:
     ``_coverage_cuts`` that ``coverage_curves`` shares."""
     # stable, like coverage_curves' argsort: both see -0.0 and 0.0 in one order
     sorted_scores = np.sort(np.asarray(scores, dtype=np.float64), kind="stable")
-    _, tau, _, _ = _coverage_cuts(sorted_scores, [target])
+    tau, _, _ = _coverage_cuts(sorted_scores, _tie_starts(sorted_scores), [target])
     return float(tau[0])
 
 
@@ -197,33 +231,11 @@ def default_grid(size: int = 100) -> np.ndarray:
     return np.arange(1, size + 1) / size
 
 
-def _prefix_confusion(true, pred, num_classes: int, order, cuts) -> np.ndarray:
-    """Inlier confusion counts of the points ``order[:k]`` for each k in
-    ascending ``cuts``: one (c+1, c+1) true-by-predicted matrix per cut, with
-    labels outside 1..c folded into row/column 0 and ground-truth outliers
-    (true > c) left out. Counted segment by segment between cuts."""
-    c = num_classes
-    w = c + 1
-
-    def fold(labels):
-        return np.where((labels >= 1) & (labels <= c), labels, 0)
-
-    code = np.where(true <= c, fold(true) * w + fold(pred), w * w)
-    counts = np.zeros((len(cuts), w * w + 1), dtype=np.int64)
-    for i, segment in enumerate(np.split(order, cuts)[:-1]):
-        counts[i] = np.bincount(code[segment], minlength=w * w + 1)
-    return counts.cumsum(axis=0)[:, :-1].reshape(len(cuts), w, w)
-
-
-def _block_prefix_sums(sorted_is_outlier, starts) -> tuple[np.ndarray, np.ndarray]:
-    """Per tie block b of the ascending order: the positives in blocks
-    0..b-1, and twice the sum of their midranks (block j's doubled midrank
-    is its start + 1 + its end)."""
-    block_pos = np.add.reduceat(sorted_is_outlier, starts, dtype=np.int64)
-    ends = np.append(starts[1:], len(sorted_is_outlier))
-    cum_pos = np.concatenate(([0], np.cumsum(block_pos)))
-    cum_rank2 = np.concatenate(([0], np.cumsum(block_pos * (starts + 1 + ends))))
-    return cum_pos, cum_rank2
+def _or_nan(kernel, *args) -> float:
+    try:
+        return kernel(*args)
+    except UndefinedMetricError:
+        return float("nan")
 
 
 def coverage_curves(points: ScoredPoints, num_classes: int, grid=None) -> CoverageCurves:
@@ -233,68 +245,29 @@ def coverage_curves(points: ScoredPoints, num_classes: int, grid=None) -> Covera
     The recorded coverage is the achieved empirical coverage (which may
     exceed the target when scores are tied).
 
-    Every covered subset is a prefix of the stable ascending score order
-    made of whole tie blocks, so one sort serves all grid points:
-    - risk comes from the inlier confusion counts of the prefix, gathered
-      segment by segment between consecutive cut points;
-    - AUROC's rank sum is the cumulative sum of the global midranks of the
-      positives, since a prefix of whole blocks keeps its midranks (the sums
-      are half-integers far below 2**52, so they are exact);
-    - AUPR's descending sweep visits the prefix's blocks from the last one
-      down, with tp and total read from the block starts and cumulative
-      positive counts, and sums them by the same expression as ``aupr``.
-    Each value equals ``miou_old``/``aupr``/``auroc`` on the covered subset
-    bit for bit, and each gap is where they raise. Cost: one O(n log n)
-    sort, O(n) counting, and O(m * B) for AUPR over m grid points and B tie
-    blocks.
+    One stable sort serves the sweep: the covered subset of each distinct cut
+    is its first b tie blocks, k points, and the kernels of ``miou_old``,
+    ``aupr`` and ``auroc`` score it from that prefix of ``_confusions`` and
+    ``_tie_blocks``; a gap is where they raise. Cost: one O(n log n) sort,
+    O(n) counting, and O(m * B) for AUPR over m grid points and B blocks.
     """
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    m = len(grid)
-    n = len(points.scores)
     order = np.argsort(points.scores, kind="stable")
-    starts, thr, covered, blocks = _coverage_cuts(points.scores[order], grid)
-    cov = covered / n
-    cuts, cut_of = np.unique(covered, return_inverse=True)
-    confusion = _prefix_confusion(points.true_labels, points.pred_labels, num_classes,
-                                  order, cuts)
-    cum_pos, cum_rank2 = _block_prefix_sums(points.is_outlier[order], starts)
-    del order  # before the sweep buffers, to keep the peak down
-    # the descending sweep of b blocks visits blocks b-1..0: their starts and
-    # the positives before them are the last b entries of these reversed views
-    desc_start, desc_pos_before = starts[::-1], cum_pos[-2::-1]
-    tp_buf, precision_buf, step_buf = (np.empty(len(starts)) for _ in range(3))
-
-    risk = np.full(m, np.nan)
-    pr = np.full(m, np.nan)
-    roc = np.full(m, np.nan)
-    for i in range(m):
-        k, b = int(covered[i]), int(blocks[i])
-        n_pos = int(cum_pos[b])
-        n_neg = k - n_pos
-        conf = confusion[cut_of[i]]
-        if conf.sum():  # miou_old from counts, over classes on either side
-            in_true = conf.sum(axis=1)[1:]
-            in_pred = conf.sum(axis=0)[1:]
-            present = (in_true + in_pred) > 0
-            hits = conf.diagonal()[1:][present].astype(np.float64)
-            fp = in_pred[present] - hits
-            fn = in_true[present] - hits
-            miou = 100.0 * float(np.mean(hits / (hits + fp + fn)))
-            risk[i] = (100.0 - miou) / cov[i]
-        if n_pos:  # aupr's np.sum(np.diff(recall, prepend=0.0) * precision), in place
-            last_b = slice(len(starts) - b, None)
-            tp = np.subtract(n_pos, desc_pos_before[last_b], out=tp_buf[:b])
-            precision = np.subtract(k, desc_start[last_b], out=precision_buf[:b])
-            np.divide(tp, precision, out=precision)
-            recall = np.divide(tp, n_pos, out=tp)
-            step = step_buf[:b]
-            step[0] = recall[0]
-            np.subtract(recall[1:], recall[:-1], out=step[1:])
-            pr[i] = float(np.sum(np.multiply(step, precision, out=step)))
-        if n_pos and n_neg:  # auroc: the rank sum is exact, a half-integer < 2**52
-            rank_sum = cum_rank2[b] / 2.0
-            roc[i] = float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-    return CoverageCurves(coverage=cov, threshold=thr, risk=risk, aupr=pr, auroc=roc)
+    sorted_scores = points.scores[order]
+    starts = _tie_starts(sorted_scores)
+    thr, covered, n_blocks = _coverage_cuts(sorted_scores, starts, grid)
+    del sorted_scores  # before the block sums, to keep the peak down
+    cuts, first, cut_of = np.unique(covered, return_index=True, return_inverse=True)
+    blocks = _tie_blocks(starts, points.is_outlier[order])
+    confusion = _confusions(points.true_labels, points.pred_labels, num_classes, order, cuts)
+    del order
+    miou, pr, roc = np.array([
+        (_or_nan(_miou, prefix), _or_nan(_aupr, blocks, k, b), _or_nan(_auroc, blocks, k, b))
+        for prefix, k, b in zip(confusion, cuts.tolist(), n_blocks[first].tolist())
+    ]).reshape(-1, 3)[cut_of].T
+    cov = covered / len(points.scores)
+    return CoverageCurves(coverage=cov, threshold=thr, risk=(100.0 - miou) / cov,
+                          aupr=pr, auroc=roc)
 
 
 @dataclass

@@ -1,17 +1,19 @@
 """Independent brute-force oracles used by the metric, model and synthesis
-tests and the acceptance suite. The AUROC, AUPR, density and brute-force
-component oracles deliberately share no code with the library
-implementations they check; the coverage-curve oracle is the per-threshold
-loop over those (separately checked) per-subset metrics, the pair-graph
-components are the resizing baseline's original method, and the merge-window
-oracle tests every (scene point, object point) pair."""
+tests and the acceptance suite. The AUROC, AUPR, mIoU, density and
+brute-force component oracles deliberately share no code with the library
+implementations they check. The coverage-curve oracle re-sorts each covered
+subset and scores it from scratch: with ``aupr`` and ``auroc``, each checked
+against the exhaustive sweep and pair counting by criterion 2, and with
+``miou_brute_force``. The pair-graph components are the resizing baseline's
+original method, and the merge-window oracle tests every (scene point,
+object point) pair."""
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from oodlab.metrics import UndefinedMetricError, aupr, auroc, miou_old, threshold_for_coverage
+from oodlab.metrics import UndefinedMetricError, aupr, auroc, threshold_for_coverage
 
 
 def auroc_pair_counting(scores, is_outlier):
@@ -43,11 +45,54 @@ def aupr_exhaustive_sweep(scores, is_outlier):
     return ap
 
 
+def miou_brute_force(pred_labels, true_labels, num_classes):
+    """Oracle for ``miou_old``: one IoU per inlier class 1..c from boolean
+    masks over the points with true label <= c, averaged over the classes
+    present on either side; UndefinedMetricError when no such point."""
+    pred = np.asarray(pred_labels, dtype=np.int64)
+    true = np.asarray(true_labels, dtype=np.int64)
+    keep = true <= num_classes
+    if not keep.any():
+        raise UndefinedMetricError("no inlier ground truth present")
+    pred = pred[keep]
+    true = true[keep]
+    ious = []
+    for k in range(1, num_classes + 1):
+        in_true = true == k
+        in_pred = pred == k
+        if not (in_true.any() or in_pred.any()):
+            continue
+        tp = float(np.sum(in_true & in_pred))
+        fp = float(np.sum(~in_true & in_pred))
+        fn = float(np.sum(in_true & ~in_pred))
+        ious.append(tp / (tp + fp + fn))
+    return 100.0 * float(np.mean(ious))
+
+
+def coverage(scores, tau):
+    """Fraction of points the model predicts on: score < tau."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return float(np.mean(scores < tau))
+
+
+def selective_risk(points, tau, num_classes):
+    """(100 - mIoU on the covered subset) / coverage, by ``miou_brute_force``;
+    UndefinedMetricError at zero coverage."""
+    covered = points.scores < tau
+    phi = float(covered.mean())
+    if phi == 0.0:
+        raise UndefinedMetricError("zero coverage")
+    miou = miou_brute_force(points.pred_labels[covered], points.true_labels[covered],
+                            num_classes)
+    return (100.0 - miou) / phi
+
+
 def coverage_curves_brute_force(points, num_classes, grid):
     """Oracle: at each target coverage, pick the threshold with
-    ``threshold_for_coverage`` and recompute risk, AUPR and AUROC from
-    scratch on the covered subset with ``miou_old``, ``aupr`` and ``auroc``;
-    a metric that raises is a NaN gap. Returns the five curve arrays."""
+    ``threshold_for_coverage`` and recompute coverage, risk, AUPR and AUROC
+    from scratch on the covered subset with ``coverage``,
+    ``selective_risk``, ``aupr`` and ``auroc``; a metric that raises is a
+    NaN gap. Returns the five curve arrays."""
     grid = np.asarray(grid, dtype=np.float64)
     m = len(grid)
     cov = np.empty(m)
@@ -59,22 +104,16 @@ def coverage_curves_brute_force(points, num_classes, grid):
         tau = threshold_for_coverage(points.scores, float(target))
         covered = points.scores < tau
         thr[i] = tau
-        cov[i] = float(covered.mean())
-        try:
-            miou = miou_old(
-                points.pred_labels[covered], points.true_labels[covered], num_classes
-            )
-            risk[i] = (100.0 - miou) / cov[i]
-        except UndefinedMetricError:
-            pass
-        try:
-            pr[i] = aupr(points.scores[covered], points.is_outlier[covered])
-        except UndefinedMetricError:
-            pass
-        try:
-            roc[i] = auroc(points.scores[covered], points.is_outlier[covered])
-        except UndefinedMetricError:
-            pass
+        cov[i] = coverage(points.scores, tau)
+        for out, metric, args in (
+            (risk, selective_risk, (points, tau, num_classes)),
+            (pr, aupr, (points.scores[covered], points.is_outlier[covered])),
+            (roc, auroc, (points.scores[covered], points.is_outlier[covered])),
+        ):
+            try:
+                out[i] = metric(*args)
+            except UndefinedMetricError:
+                pass
     return cov, thr, risk, pr, roc
 
 

@@ -20,10 +20,9 @@ from oodlab.metrics import (
     ScoredPoints,
     aupr,
     auroc,
+    coverage_curves,
     miou_old,
     po_histogram,
-    selective_risk,
-    threshold_for_coverage,
 )
 from oodlab.synthesis import SynthesisConfig, check_overlap, synthesize_scene
 from oodlab.config import file_digest
@@ -100,8 +99,7 @@ class TestCriterion3FullCoverageIdentity:
             pred = gen.integers(1, space.max_label, size=n)
             scores = gen.uniform(size=n) * 0.98
             pts = ScoredPoints(scores, true > c, pred, true)
-            tau = threshold_for_coverage(scores, 1.0)
-            risk = selective_risk(pts, tau, c)
+            risk = coverage_curves(pts, c, grid=[1.0]).risk[0]
             expect = 100.0 - miou_old(pred, true, c)
             if risk != expect:
                 ok = False

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import _benchmark
 from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from oodlab.config import ConfigError, RunConfig, file_digest, load_config
+from oodlab.config import MAX_GRID_SIZE, ConfigError, RunConfig, file_digest, load_config
 from oodlab.core import LabelSpace, RngStream, Scene
 from oodlab.io import read_scene, write_scene
 from oodlab.losses import LOSS_MODES, LossConfig
@@ -264,6 +264,30 @@ class TestConfig:
         cfg = write_config(tmp_path / "c.json", metrics={"grid_size": 0})
         assert main([command, "--config", cfg]) == EXIT_CONFIG
         assert "metrics.grid_size: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_size", [2**40, 2**63 - 1])
+    def test_grid_size_beyond_cap_named(self, no_work, capsys, grid_size):
+        cfg = write_config(no_work / "c.json", **READS, checkpoint="m.ckpt",
+                           metrics={"grid_size": grid_size})
+        before = tree_state(no_work)
+        assert main(["eval", "--config", cfg]) == EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == f"config error: metrics.grid_size: must be <= {MAX_GRID_SIZE}\n")
+        assert tree_state(no_work) == before
+
+    def test_largest_grid_size_accepted(self):
+        cfg = load_config(overrides={"metrics": {"grid_size": MAX_GRID_SIZE}})
+        assert cfg.metrics.grid_size == MAX_GRID_SIZE
+
+    def test_max_points_beyond_int64_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "g.json", gradcheck={"max_points": 2**63})
+        assert main(["gradcheck", "--config", cfg]) == EXIT_CONFIG
+        assert (capsys.readouterr().err
+                == "config error: gradcheck.max_points: must be <= 2**63 - 1\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "g.json"]
+        cfg = load_config(overrides={"gradcheck": {"max_points": 2**63 - 1}})
+        assert cfg.gradcheck.max_points == 2**63 - 1
 
     @pytest.mark.parametrize("scan, message", [
         ({"obstacles": [{"kind": "box", "center": [0, 0], "size": [1, 1, 1]}]},
@@ -712,6 +736,47 @@ def test_output_under_a_file(no_work, capsys, command):
     assert (capsys.readouterr().err
             == f"config error: output {Path(output)}: f is not a directory\n")
     assert tree_state(no_work) == before
+
+
+# command: (config, the command's manifest)
+MANIFEST = {
+    "genscan": ({"scan_dir": "new"}, "new/genscan.manifest.json"),
+    "synth": ({}, "data/synth/synth.manifest.json"),
+    "train": (READS, "out/train.manifest.json"),
+    "eval": ({**READS, "checkpoint": "m.ckpt"}, "out/eval.manifest.json"),
+    "gradcheck": ({}, "out/gradcheck.manifest.json"),
+}
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
+@pytest.mark.parametrize("command", list(MANIFEST))
+def test_manifest_that_is_a_directory(no_work, capsys, command, force):
+    data, manifest = MANIFEST[command]
+    (no_work / manifest).mkdir(parents=True)
+    cfg = write_config(no_work / "c.json", **data)
+    before = tree_state(no_work)
+    assert main([command, "--config", cfg, *force]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: output is a directory: {Path(manifest)}\n"
+    assert tree_state(no_work) == before
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+def test_output_tmp_name_left_alone(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "g.json", out_dir="o1",
+                       gradcheck={"instances": 2, "max_points": 8})
+    tmp = tmp_path / "o1/gradcheck.csv.tmp"
+    if kind == "file":
+        tmp.parent.mkdir()
+        tmp.write_text("keep\n")
+    else:
+        tmp.mkdir(parents=True)
+    assert main(["gradcheck", "--config", cfg]) == EXIT_OK
+    assert tmp.is_file() == (kind == "file") and tmp.is_dir() == (kind == "directory")
+    if kind == "file":
+        assert tmp.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp.parent.iterdir()) == [
+        "gradcheck.csv", "gradcheck.csv.tmp", "gradcheck.manifest.json"]
 
 
 def test_import_does_not_load_scipy_stats():

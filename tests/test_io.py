@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import stat
 import struct
 from pathlib import Path
 
@@ -177,6 +178,30 @@ class TestAtomicWrite:
             atomic_write(path, "new\n")
         assert path.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_is_open_mode_less_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            atomic_write(tmp_path / "a.csv", "new\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "a.csv").stat().st_mode) == mode
+
+    @pytest.mark.parametrize("kind", ["file", "directory"])
+    def test_path_tmp_left_alone(self, tmp_path, kind):
+        # the temp name is new for each write, so <path>.tmp is the user's
+        tmp = tmp_path / "a.csv.tmp"
+        if kind == "file":
+            tmp.write_text("keep\n")
+        else:
+            tmp.mkdir()
+        atomic_write(tmp_path / "a.csv", "new\n")
+        assert (tmp_path / "a.csv").read_text() == "new\n"
+        assert tmp.is_file() == (kind == "file") and tmp.is_dir() == (kind == "directory")
+        if kind == "file":
+            assert tmp.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.csv.tmp"]
 
     def test_scene_files_intact_when_rename_fails(self, tmp_path, monkeypatch):
         write_scene(make_scene(4), tmp_path / "a.bin", tmp_path / "a.label")

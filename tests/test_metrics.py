@@ -15,17 +15,16 @@ from oodlab.metrics import (
     UndefinedMetricError,
     aupr,
     auroc,
-    coverage,
     coverage_curves,
     default_grid,
     miou_old,
     po_histogram,
-    selective_risk,
     threshold_for_coverage,
 )
 
 
-from oracles import aupr_exhaustive_sweep, auroc_pair_counting, coverage_curves_brute_force
+from oracles import (aupr_exhaustive_sweep, auroc_pair_counting, coverage,
+                     coverage_curves_brute_force, miou_brute_force)
 
 
 def random_scored(seed, n=None, heavy_ties=False):
@@ -68,6 +67,9 @@ class TestAuroc:
             assert abs(auroc(scores, is_outlier)
                        - auroc_pair_counting(scores, is_outlier)) <= 1e-12
 
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auroc([0.9, np.nan, 0.1], [True, True, False]))
+
 
 class TestAupr:
     def test_single_positive_ranked_first(self):
@@ -95,6 +97,33 @@ class TestAupr:
             scores, is_outlier = random_scored(seed + 100, heavy_ties=seed % 3 == 0)
             assert abs(aupr(scores, is_outlier)
                        - aupr_exhaustive_sweep(scores, is_outlier)) <= 1e-12
+
+    def test_nan_score_gives_nan(self):
+        # a NaN has no rank, as in auroc; it used to rank below every score
+        assert np.isnan(aupr([0.9, np.nan, 0.1], [True, True, False]))
+        with pytest.raises(UndefinedMetricError):
+            aupr([0.9, np.nan], [False, False])
+
+
+@pytest.mark.parametrize("metric", [aupr, auroc])
+@pytest.mark.parametrize("seed", range(20))
+def test_tied_scores_permuted(metric, seed):
+    # the labels inside each tie block, -0.0 and 0.0 one block, move
+    # between its points: the value stays the same to the bit
+    gen = RngStream(35, seed).generator()
+    n = int(gen.integers(2, 200))
+    scores = gen.choice([-0.5, -0.0, 0.0, 0.25, 0.5], size=n)
+    is_outlier = gen.uniform(size=n) < 0.4
+    is_outlier[:2] = True, False
+    want = metric(scores, is_outlier)
+    for _ in range(5):
+        shuffled = is_outlier.copy()
+        for value in (-0.5, 0.0, 0.25, 0.5):
+            block = np.flatnonzero(scores == value)
+            shuffled[block] = gen.permutation(shuffled[block])
+        assert metric(scores, shuffled) == want
+        perm = gen.permutation(n)
+        assert metric(scores[perm], is_outlier[perm]) == want
 
 
 class TestMiou:
@@ -128,23 +157,16 @@ class TestMiou:
         with pytest.raises(UndefinedMetricError):
             miou_old([1], [3], 2)
 
-
-class TestCoverage:
-    def test_tau_one_with_all_below(self):
-        assert coverage([0.2, 0.9, 0.5], 1.0) == 1.0
-
-    def test_tau_zero(self):
-        assert coverage([0.2, 0.9], 0.0) == 0.0
-
-    def test_fraction(self):
-        assert coverage([0.1, 0.4, 0.9], 0.5) == pytest.approx(2.0 / 3.0)
-
-    def test_monotone_in_tau(self):
-        gen = RngStream(30, 0).generator()
-        scores = gen.uniform(size=200)
-        taus = np.linspace(0, 1, 21)
-        covs = [coverage(scores, t) for t in taus]
-        assert all(a <= b for a, b in zip(covs, covs[1:]))
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_brute_force(self, seed):
+        # labels from -1 to c + 3: below 1, inlier, outlier, beyond the label space
+        gen = RngStream(36, seed).generator()
+        n = int(gen.integers(1, 300))
+        c = int(gen.integers(1, 6))
+        pred = gen.integers(-1, c + 4, size=n)
+        true = gen.integers(-1, c + 4, size=n)
+        true[0] = int(gen.integers(1, c + 1))
+        assert miou_old(pred, true, c) == miou_brute_force(pred, true, c)
 
 
 def make_points(scores, is_outlier, pred, true):
@@ -153,10 +175,42 @@ def make_points(scores, is_outlier, pred, true):
                         np.asarray(pred), np.asarray(true))
 
 
+def unlabelled(scores):
+    """Inlier points of class 1, predicted right, at ``scores``."""
+    n = len(scores)
+    return make_points(scores, np.zeros(n, bool), np.ones(n, int), np.ones(n, int))
+
+
+class TestCoverage:
+    """The coverage that ``coverage_curves`` records at a target."""
+
+    def test_tau_one_with_all_below(self):
+        curves = coverage_curves(unlabelled([0.2, 0.9, 0.5]), 1, grid=[1.0])
+        assert curves.threshold[0] == 1.0 and curves.coverage[0] == 1.0
+
+    def test_tau_zero(self):
+        curves = coverage_curves(unlabelled([0.2, 0.9]), 1, grid=[0.0])
+        assert curves.threshold[0] == 0.2 and curves.coverage[0] == 0.0
+
+    def test_fraction(self):
+        curves = coverage_curves(unlabelled([0.1, 0.4, 0.9]), 1, grid=[0.5])
+        assert curves.threshold[0] == 0.9
+        assert curves.coverage[0] == pytest.approx(2.0 / 3.0)
+
+    def test_monotone_in_tau(self):
+        gen = RngStream(30, 0).generator()
+        scores = gen.uniform(size=200)
+        curves = coverage_curves(unlabelled(scores), 1, grid=np.linspace(0, 1, 21))
+        assert all(a <= b for a, b in zip(curves.coverage, curves.coverage[1:]))
+        assert [coverage(scores, t) for t in curves.threshold] == curves.coverage.tolist()
+
+
 class TestSelectiveRisk:
+    """The risk that ``coverage_curves`` records at a target."""
+
     def test_full_coverage_perfect(self):
         pts = make_points([0.1, 0.2], [False, False], [1, 2], [1, 2])
-        assert selective_risk(pts, 1.0, 2) == 0.0
+        assert coverage_curves(pts, 2, grid=[1.0]).risk[0] == 0.0
 
     def test_full_coverage_identity(self):
         gen = RngStream(31, 0).generator()
@@ -164,7 +218,7 @@ class TestSelectiveRisk:
         pred = gen.integers(1, 3, size=n)
         true = gen.integers(1, 3, size=n)
         pts = make_points(gen.uniform(size=n) * 0.9, np.zeros(n, bool), pred, true)
-        risk = selective_risk(pts, 1.0, 2)
+        risk = coverage_curves(pts, 2, grid=[1.0]).risk[0]
         assert risk == 100.0 - miou_old(pred, true, 2)
 
     def test_half_coverage_scaling(self):
@@ -174,9 +228,10 @@ class TestSelectiveRisk:
         pred = [1, 1, 1, 1, 2, 1, 1, 1, 1, 1]
         true = [1, 1, 1, 2, 2, 1, 1, 1, 1, 1]
         pts = make_points(scores, [False] * 10, pred, true)
-        risk = selective_risk(pts, 0.5, 2)
+        curves = coverage_curves(pts, 2, grid=[0.5])
+        assert curves.threshold[0] == 0.9 and curves.coverage[0] == 0.5
         assert miou_old(pred[:5], true[:5], 2) == pytest.approx(62.5)
-        assert risk == pytest.approx(75.0)
+        assert curves.risk[0] == pytest.approx(75.0)
 
     def test_quoted_example_scaling(self):
         # coverage 0.5 with covered-subset mIoU exactly 80 -> risk 40:
@@ -186,13 +241,15 @@ class TestSelectiveRisk:
         pred = [1, 1, 1, 1, 3] + [1] * 5
         true = [1] * 10
         pts = make_points(scores, [False] * 10, pred, true)
+        curves = coverage_curves(pts, 2, grid=[0.5])
+        assert curves.coverage[0] == 0.5
         assert miou_old(np.array(pred)[:5], np.array(true)[:5], 2) == pytest.approx(80.0)
-        assert selective_risk(pts, 0.5, 2) == pytest.approx(40.0)
+        assert curves.risk[0] == pytest.approx(40.0)
 
-    def test_zero_coverage_error(self):
+    def test_zero_coverage_gap(self):
         pts = make_points([0.5], [False], [1], [1])
-        with pytest.raises(UndefinedMetricError):
-            selective_risk(pts, 0.0, 1)
+        curves = coverage_curves(pts, 1, grid=[0.0])
+        assert curves.coverage[0] == 0.0 and np.isnan(curves.risk[0])
 
 
 class TestThresholdForCoverage:
