@@ -33,8 +33,9 @@ file atomically: to a temp file it creates beside the target, then a
 rename, so no other file is touched. A scene label outside
 1..num_classes + 2 exits 2, naming the .label file.
 
-``gradcheck`` sets only the instance count and size; the check itself runs
-at ``run_gradient_checks``'s defaults, against ``GRADCHECK_TOLERANCE``.
+``gradcheck`` sets only the instance count and size. Its 4 classes, logit
+scale ``losses.GRADCHECK_SIGMA`` and step ``GRADCHECK_STEP`` are fixed, and
+its tolerance is ``GRADCHECK_TOLERANCE``.
 """
 
 from __future__ import annotations

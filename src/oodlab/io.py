@@ -215,7 +215,10 @@ def read_obj(path) -> TriangleMesh:
         if parts[0] == "v":
             if len(parts) < 4:
                 raise FormatError(f"{path}:{lineno}: vertex needs 3 coordinates")
-            vertices.append([float(v) for v in parts[1:4]])
+            try:
+                vertices.append([float(v) for v in parts[1:4]])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
         else:
             idx = []
             for token in parts[1:]:
@@ -234,7 +237,7 @@ def read_obj(path) -> TriangleMesh:
     return TriangleMesh(np.array(vertices), np.array(triangles))
 
 
-def sample_mesh_surface(mesh: TriangleMesh, count: int, rng, source_id: str = "") -> ObjectAsset:
+def sample_mesh_surface(mesh: TriangleMesh, count: int, rng) -> ObjectAsset:
     """Sample `count` points uniformly over the mesh surface.
 
     Triangles are selected proportionally to area; inside each, barycentric
@@ -256,7 +259,7 @@ def sample_mesh_surface(mesh: TriangleMesh, count: int, rng, source_id: str = ""
     s = np.sqrt(gen.uniform(size=count))[:, None]
     t = gen.uniform(size=count)[:, None]
     pts = (1.0 - s) * a + s * (1.0 - t) * b + s * t * c
-    return ObjectAsset(pts, source_id=source_id)
+    return ObjectAsset(pts)
 
 
 def load_asset(path, count: int = 2048, rng=None) -> ObjectAsset:

@@ -30,9 +30,11 @@ the abstain term, weighted by ``LossConfig.weight_abstain``, plus the
 static or the dynamic penalty at weight 1, or the calibration-CE baseline
 (``cce_loss``) with its calibration term at weight 1 or 0. The abstain
 family has one straight-line path, ``_objective``: weight_abstain * abstain
-plus weight_penalty * a hinge on one threshold per point type, fixed for the
-static penalty and beta times the margins for the dynamic one. The abstain
-family's public losses differ only in the weights and beta they pass.
+plus weight_penalty * (hinges on the thresholds beta * margins + a prior on
+beta). The static penalty is the dynamic one at beta = 1, where the prior is
+0, with one outlier margin: (m_in, m_out, m_out) for (m_in, m_rout, m_sout).
+A weight scales its term and never skips it, so the public losses of the
+family differ only in the weights and beta they pass.
 
 The trainer steps on one scene at a time, so the values here are plain
 means over one scene's points.
@@ -206,14 +208,6 @@ class LossResult:
     grad: np.ndarray
     grad_beta: np.ndarray | None = None
 
-    @property
-    def grad_inlier(self) -> np.ndarray:
-        return self.grad[:, :-1]
-
-    @property
-    def grad_outlier(self) -> np.ndarray:
-        return self.grad[:, -1]
-
 
 def compute_alpha(inlier_logits: np.ndarray) -> np.ndarray:
     """alpha_i = -logsumexp of the i-th row of the inlier logits."""
@@ -267,16 +261,15 @@ def _abstain(st: HeadStats, labels):
     grad[:, c] = -w * p_o * (reward * q - p_true)
 
     out = np.flatnonzero(labels > c)
-    if out.size:
-        p_out = p[out]
-        t = p_out + abstain[out, None]
-        t_safe = np.maximum(t, _TINY)
-        values[out] = -np.log(t_safe).sum(axis=1)
-        w = np.where(t > _TINY, 1.0 / t_safe, 0.0)
-        s1 = w.sum(axis=1)
-        s2 = (w * p_out).sum(axis=1)
-        grad[out, :c] = s[out] * (q[out] * s2 + s1 * k[out])[:, None] - w * p_out
-        grad[out, c] = p_o[out] * (s2 - reward[out] * q[out] * s1)
+    p_out = p[out]
+    t = p_out + abstain[out, None]
+    t_safe = np.maximum(t, _TINY)
+    values[out] = -np.log(t_safe).sum(axis=1)
+    w = np.where(t > _TINY, 1.0 / t_safe, 0.0)
+    s1 = w.sum(axis=1)
+    s2 = (w * p_out).sum(axis=1)
+    grad[out, :c] = s[out] * (q[out] * s2 + s1 * k[out])[:, None] - w * p_out
+    grad[out, c] = p_o[out] * (s2 - reward[out] * q[out] * s1)
     return values, grad
 
 
@@ -302,45 +295,39 @@ def _penalty(st: HeadStats, labels, space: LabelSpace, thresholds):
 def _objective(head: HeadOutput, labels, space: LabelSpace, weight_abstain: float,
                weight_penalty: float, beta=None) -> LossResult:
     """The one path of the abstain-family objectives: the mean over the
-    scene's points of weight_abstain * abstain + weight_penalty * penalty.
+    scene's points of weight_abstain * abstain + weight_penalty * penalty,
+    where the penalty hinges alpha on the thresholds beta * margins and adds
+    the prior on beta divided by n (``dynamic_penalty_loss``).
 
-    Without ``beta`` the penalty is the static one, thresholds
-    (m_in, m_out, m_out); with it, the dynamic one, thresholds
-    beta * (m_in, m_rout, m_sout), plus its prior divided by n
-    (``dynamic_penalty_loss``), and the result carries ``grad_beta``.
+    With ``beta`` the penalty is the dynamic one, over the margins
+    (m_in, m_rout, m_sout), and the result carries ``grad_beta``. Without
+    it the penalty is the static one: beta = 1, where the prior and its
+    gradient are 0, over the margins (m_in, m_out, m_out). Both terms are
+    computed at every weight; a weight only scales its term.
     """
     n, c = head.num_points, head.num_classes
     labels = _check_labels(labels, space, n)
-    beta = None if beta is None else np.asarray(beta, dtype=np.float64)
-    if beta is not None and beta.shape != (3,):
-        raise ValueError("beta must have shape (3,)")
     m_in, m_out, m_rout, m_sout = margins(space.num_classes)
-    m = np.array([m_in, m_rout, m_sout])
-    thresholds = np.array([m_in, m_out, m_out]) if beta is None else beta * m
-    st = softmax_head(head)
-    # a term at weight 0 is not computed at all
-    if weight_abstain:
-        values, grad = _abstain(st, labels)
-        values *= weight_abstain
-        grad *= weight_abstain
-    else:
-        values, grad = np.zeros(n), np.zeros((n, c + 1))
-    if not weight_penalty:
-        return LossResult(float(values.mean()), grad / n,
-                          None if beta is None else np.zeros(3))
-    pen, pen_grad, counts, active = _penalty(st, labels, space, thresholds)
-    values += weight_penalty * pen
-    grad[:, :c] += weight_penalty * pen_grad
     if beta is None:
-        return LossResult(float(values.mean()), grad / n)
+        m, b = np.array([m_in, m_out, m_out]), np.ones(3)
+    else:
+        m, b = np.array([m_in, m_rout, m_sout]), np.asarray(beta, dtype=np.float64)
+    if b.shape != (3,):
+        raise ValueError("beta must have shape (3,)")
+    st = softmax_head(head)
+    values, grad = _abstain(st, labels)
+    pen, pen_grad, counts, active = _penalty(st, labels, space, b * m)
+    values = weight_abstain * values + weight_penalty * pen
+    grad *= weight_abstain
+    grad[:, :c] += weight_penalty * pen_grad
     # the hinge's beta gradient: d(t_in - alpha)/d(beta_in) = m_in for
     # inliers, d(alpha - t_k)/d(beta_k) = -m_k for outliers; and the
     # quadratic prior (lambda / 2) sum_k n_k |m_k| (beta_k - 1)^2
     weight = BETA_PRIOR * counts * np.abs(m)
-    prior = 0.5 * float(np.sum(weight * (beta - 1.0) ** 2))
-    grad_beta = np.array([-1.0, 1.0, 1.0]) * m * active + weight * (beta - 1.0)
+    prior = 0.5 * float(np.sum(weight * (b - 1.0) ** 2))
+    grad_beta = np.array([-1.0, 1.0, 1.0]) * m * active + weight * (b - 1.0)
     return LossResult(float(values.mean()) + weight_penalty * prior / n, grad / n,
-                      weight_penalty * grad_beta / n)
+                      None if beta is None else weight_penalty * grad_beta / n)
 
 
 def abstain_loss(head: HeadOutput, labels, space: LabelSpace) -> LossResult:
@@ -434,7 +421,7 @@ def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.
 
     inlier = cols < c
     cce = np.zeros(n)
-    if weight_cce != 0.0 and inlier.any():
+    if weight_cce != 0.0:
         # every row, with the outlier rows masked out at the end: cheaper
         # than gathering the inlier rows and scattering them back
         z_ex = z.copy()
@@ -453,10 +440,17 @@ def cce_loss(head: HeadOutput, labels, space: LabelSpace, weight_cce: float = 1.
     return LossResult(value, grad)
 
 
-def finite_difference_grads(value_fn, head: HeadOutput, beta=None, step: float = 1e-5,
+# the gradient check's logit scale (``random_instance``) and central-difference
+# step (``finite_difference_grads``)
+GRADCHECK_SIGMA = 3.0
+GRADCHECK_STEP = 1e-5
+
+
+def finite_difference_grads(value_fn, head: HeadOutput, beta=None,
                             probes: int | None = None, rng=None):
-    """Central-difference gradients of ``value_fn(head, beta)``: an (n, c+1)
-    array over the logits and, when beta is given, one over beta.
+    """Central-difference gradients of ``value_fn(head, beta)`` at step
+    ``GRADCHECK_STEP``: an (n, c+1) array over the logits and, when beta is
+    given, one over beta.
 
     The oracle side of every gradient check: it consumes loss *values*
     only, never analytic gradients. With ``probes`` set, that many
@@ -476,6 +470,7 @@ def finite_difference_grads(value_fn, head: HeadOutput, beta=None, step: float =
         idx = [(int(k) // c, int(k) % c) for k in flat] + [(int(i), c) for i in rows]
         fill = np.nan
 
+    step = GRADCHECK_STEP
     fd = np.full_like(z0, fill)
     for i, j in idx:
         hi = z0.copy(); hi[i, j] += step
@@ -512,15 +507,16 @@ def max_relative_error(result: LossResult, fd_grads) -> float:
     return worst
 
 
-def random_instance(space: LabelSpace, stream: RngStream, max_points: int = 64,
-                    sigma: float = 3.0):
-    """One seeded random (head, labels, beta) instance for gradient checks."""
+def random_instance(space: LabelSpace, stream: RngStream, max_points: int = 64):
+    """One seeded random (head, labels, beta) instance for gradient checks:
+    2 to ``max_points`` points with logits ~ N(0, GRADCHECK_SIGMA^2), labels
+    uniform over the label space and beta ~ U(0.5, 1.5)^3."""
     gen = stream.generator()
     n = int(gen.integers(2, max_points + 1))
     c = space.num_classes
     head = HeadOutput(np.column_stack([
-        gen.normal(0.0, sigma, size=(n, c)),
-        gen.normal(0.0, sigma, size=n),
+        gen.normal(0.0, GRADCHECK_SIGMA, size=(n, c)),
+        gen.normal(0.0, GRADCHECK_SIGMA, size=n),
     ]))
     labels = gen.integers(1, space.max_label + 1, size=n)
     beta = gen.uniform(0.5, 1.5, size=3)
@@ -531,12 +527,11 @@ def run_gradient_checks(
     num_instances: int = 100,
     max_points: int = 64,
     num_classes: int = 4,
-    sigma: float = 3.0,
     seed: int = 0,
-    step: float = 1e-5,
 ) -> dict[str, tuple[float, int]]:
-    """Check every loss's analytic gradients against central differences on
-    seeded random instances.
+    """Check every loss's analytic gradients against central differences
+    (step ``GRADCHECK_STEP``) on seeded random instances
+    (``random_instance``, logit scale ``GRADCHECK_SIGMA``).
 
     12 randomly chosen logit entries are probed per instance and loss, which
     keeps 100 instances well under half a minute while still covering ~1000
@@ -563,15 +558,13 @@ def run_gradient_checks(
     results = {name: (0.0, -1) for name in table}
     for k in range(num_instances):
         stream = RngStream(seed, k)
-        head, labels, beta = random_instance(
-            space, stream, max_points=max_points, sigma=sigma
-        )
+        head, labels, beta = random_instance(space, stream, max_points=max_points)
         probe_rng = np.random.default_rng([seed, k])
         for name, (loss_fn, uses_beta) in table.items():
             b = beta if uses_beta else None
             analytic = loss_fn(head, labels, b)
             fd = finite_difference_grads(
-                lambda hh, bb: loss_fn(hh, labels, bb).value, head, beta=b, step=step,
+                lambda hh, bb: loss_fn(hh, labels, bb).value, head, beta=b,
                 probes=12, rng=probe_rng,
             )
             err = max_relative_error(analytic, fd)

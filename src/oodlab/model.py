@@ -388,10 +388,10 @@ def train(
 
 
 def score_msp(probs: HeadStats) -> np.ndarray:
-    """1 - max softmax probability over the inlier classes only (the inlier
-    renormalization is exactly a softmax over the inlier logits)."""
-    denom = np.maximum(1.0 - probs.p_o, np.finfo(np.float64).tiny)
-    return 1.0 - probs.p_inlier.max(axis=1) / denom
+    """1 - max softmax probability over the inlier classes only: 1 - max_j
+    s_j, from the inlier softmax ``HeadStats.s``, which no outlier
+    probability enters. It lies in [0, 1 - 1/c] for every outlier logit."""
+    return 1.0 - probs.s.max(axis=1)
 
 
 def score_maxlogit(inlier_logits: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 
 from oodlab.cli import EXIT_OK, main
 from oodlab.core import LabelSpace, RngStream, Scene, to_spherical
-from oodlab.losses import run_gradient_checks
+from oodlab.losses import GRADCHECK_SIGMA, GRADCHECK_STEP, run_gradient_checks
 from oodlab.metrics import (
     ScoredPoints,
     aupr,
@@ -40,15 +40,13 @@ def report(number, ok, detail=""):
 class TestCriterion1GradientFidelity:
     def test_gradients_match_finite_differences(self):
         start = time.monotonic()
-        results = run_gradient_checks(
-            num_instances=100, max_points=64, num_classes=4, sigma=3.0,
-            seed=0, step=1e-5,
-        )
+        results = run_gradient_checks(num_instances=100, max_points=64, num_classes=4, seed=0)
         elapsed = time.monotonic() - start
         expected = {"cce", "abstain", "penalty", "dynamic_penalty",
                     "total_static", "total_dynamic"}
         worst = max(err for err, _ in results.values())
-        ok = (set(results) == expected and worst <= 1e-4 and elapsed < 30.0)
+        ok = (set(results) == expected and worst <= 1e-4 and elapsed < 30.0
+              and GRADCHECK_SIGMA == 3.0 and GRADCHECK_STEP == 1e-5)
         report(1, ok,
                f"max rel error {worst:.2e} over 100 instances x "
                f"{len(results)} losses in {elapsed:.1f}s")

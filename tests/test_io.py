@@ -258,6 +258,17 @@ class TestAssets:
         assert mesh.triangles.shape == (2, 3)
         assert np.allclose(mesh.areas().sum(), 1.0)
 
+    @pytest.mark.parametrize("text, message", [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 x\nf 1 2 3\n", ":3: could not convert string to float: 'x'"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 q\n", ":4: bad face index 'q'"),
+    ], ids=["vertex", "face"])
+    def test_read_obj_error_names_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.obj"
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            read_obj(path)
+        assert str(err.value) == f"{path}{message}"
+
     def test_obj_without_faces_rejected(self, tmp_path):
         path = tmp_path / "v.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
@@ -303,6 +314,8 @@ class TestAssets:
         "line.obj": "v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n",
         "word.obj": "v 0 0 x\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
     }
+    # the line an error names, after the path
+    LINE = {"word.obj": ":1"}
 
     @pytest.mark.parametrize("name, message", [
         ("few.xyz", "at least 10 points"),
@@ -312,7 +325,8 @@ class TestAssets:
     ])
     def test_unusable_asset_is_format_error(self, tmp_path, name, message):
         (tmp_path / name).write_text(self.UNUSABLE[name])
-        with pytest.raises(FormatError, match=rf"^{re.escape(str(tmp_path / name))}: .*{message}"):
+        where = re.escape(str(tmp_path / name) + self.LINE.get(name, ""))
+        with pytest.raises(FormatError, match=rf"^{where}: .*{message}"):
             load_asset(tmp_path / name, count=50, rng=RngStream(0, 0))
 
 

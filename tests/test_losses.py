@@ -8,6 +8,7 @@ from oodlab.losses import (
     REFERENCE_MARGINS,
     HeadOutput,
     LossConfig,
+    _objective,
     abstain_loss,
     cce_loss,
     compute_alpha,
@@ -218,8 +219,8 @@ class TestAbstainLoss:
         labels = np.array([space.resized_outlier, space.synthetic_outlier, 0])[kind]
         labels[kind == 2] = np.argmax(y[kind == 2], axis=1) + 1
         res = abstain_loss(head_of(y, o), labels, space)
-        assert np.all(res.grad_outlier[kind < 2] < 0.0)
-        assert np.all(res.grad_outlier[kind == 2] > 0.0)
+        assert np.all(res.grad[:, -1][kind < 2] < 0.0)
+        assert np.all(res.grad[:, -1][kind == 2] > 0.0)
 
 
 class TestMargins:
@@ -262,7 +263,7 @@ class TestPenaltyLoss:
     def test_outlier_logit_gradient_is_zero(self):
         head, labels, _ = random_instance(SPACE4, RngStream(5, 0))
         res = penalty_loss(head, labels, SPACE4)
-        assert np.all(res.grad_outlier == 0.0)
+        assert np.all(res.grad[:, -1] == 0.0)
 
     def test_gradients_match_finite_differences(self):
         worst = 0.0
@@ -347,9 +348,9 @@ class TestTotalLoss:
         ab = abstain_loss(head, labels, SPACE4)
         pen = penalty_loss(head, labels, SPACE4)
         assert abs(tot.value - (0.7 * ab.value + pen.value)) < 1e-12
-        assert np.allclose(tot.grad_inlier, 0.7 * ab.grad_inlier + pen.grad_inlier,
+        assert np.allclose(tot.grad[:, :-1], 0.7 * ab.grad[:, :-1] + pen.grad[:, :-1],
                            atol=1e-15)
-        assert np.allclose(tot.grad_outlier, 0.7 * ab.grad_outlier, atol=1e-15)
+        assert np.allclose(tot.grad[:, -1], 0.7 * ab.grad[:, -1], atol=1e-15)
         assert tot.grad_beta is None
 
     def test_abstain_weight_zero_is_penalty(self):
@@ -358,8 +359,8 @@ class TestTotalLoss:
         tot = total_loss(head, labels, SPACE4, cfg, "abstain+static")
         pen = penalty_loss(head, labels, SPACE4)
         assert tot.value == pen.value
-        assert np.array_equal(tot.grad_inlier, pen.grad_inlier)
-        assert np.all(tot.grad_outlier == 0.0)
+        assert np.array_equal(tot.grad[:, :-1], pen.grad[:, :-1])
+        assert np.all(tot.grad[:, -1] == 0.0)
 
     def test_linearity(self):
         head, labels, beta = random_instance(SPACE4, RngStream(9, 0))
@@ -370,14 +371,54 @@ class TestTotalLoss:
         assert abs(tot.value - (0.7 * ab.value + dyn.value)) < 1e-12
         assert np.array_equal(tot.grad_beta, dyn.grad_beta)
 
+    def test_term_losses_are_the_objective_at_their_weights(self):
+        # abstain is (1, 0), the penalties (0, 1); a weight-0 term still
+        # runs and adds 0
+        for k in range(20):
+            head, labels, beta = random_instance(SPACE4, RngStream(700, k), max_points=24)
+            for res, ref in [
+                (abstain_loss(head, labels, SPACE4), _objective(head, labels, SPACE4, 1.0, 0.0)),
+                (penalty_loss(head, labels, SPACE4), _objective(head, labels, SPACE4, 0.0, 1.0)),
+                (dynamic_penalty_loss(head, labels, SPACE4, beta),
+                 _objective(head, labels, SPACE4, 0.0, 1.0, beta)),
+            ]:
+                assert res.value == ref.value
+                assert np.array_equal(res.grad, ref.grad)
+                assert np.array_equal(res.grad_beta, ref.grad_beta)
+
+    def test_static_is_dynamic_at_beta_one(self):
+        # the static penalty is the dynamic one at beta = 1 with m_sout
+        # replaced by m_out: bit for bit without asset outliers, and dearer
+        # with an asset outlier whose alpha lies below m_out
+        cfg = LossConfig(weight_abstain=0.3)
+        m_out = margins(SPACE4.num_classes)[1]
+
+        def both(head, labels):
+            return (total_loss(head, labels, SPACE4, cfg, "abstain+static"),
+                    total_loss(head, labels, SPACE4, cfg, "abstain+dynamic", np.ones(3)))
+
+        dearer = 0
+        for k in range(200):
+            head, labels, _ = random_instance(SPACE4, RngStream(710, k), max_points=24)
+            stat, dyn = both(head, np.minimum(labels, SPACE4.resized_outlier))
+            assert stat.value == dyn.value
+            assert np.array_equal(stat.grad, dyn.grad)
+            assert stat.grad_beta is None
+            asset = labels == SPACE4.synthetic_outlier
+            if np.any(compute_alpha(head.inlier_logits)[asset] < m_out):
+                stat, dyn = both(head, labels)
+                assert stat.value > dyn.value
+                dearer += 1
+        assert dearer >= 100
+
     @pytest.mark.parametrize("mode, weight_cce", [("ce+cce", 1.0), ("ce", 0.0)])
     def test_ce_modes_are_cce_loss(self, mode, weight_cce):
         head, labels, beta = random_instance(SPACE4, RngStream(9, 1))
         tot = total_loss(head, labels, SPACE4, CFG, mode, beta)
         ref = cce_loss(head, labels, SPACE4, weight_cce)
         assert tot.value == ref.value
-        assert np.array_equal(tot.grad_inlier, ref.grad_inlier)
-        assert np.array_equal(tot.grad_outlier, ref.grad_outlier)
+        assert np.array_equal(tot.grad[:, :-1], ref.grad[:, :-1])
+        assert np.array_equal(tot.grad[:, -1], ref.grad[:, -1])
         assert tot.grad_beta is None
 
     def test_dynamic_requires_beta(self):
@@ -416,7 +457,7 @@ class TestCceLoss:
         a = cce_loss(head_of(y, o), labels, SPACE4, 0.0)
         b = cce_loss(head_of(y, o), labels, SPACE4, 5.0)
         assert a.value == b.value
-        assert np.array_equal(a.grad_inlier, b.grad_inlier)
+        assert np.array_equal(a.grad[:, :-1], b.grad[:, :-1])
 
     def test_synth_label_collapses_to_resized(self):
         gen = RngStream(13, 0).generator()

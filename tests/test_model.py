@@ -444,6 +444,18 @@ class TestScores:
         s = score_msp(probs)
         assert np.all((s >= 0.0) & (s <= 0.75 + 1e-12))
 
+    @pytest.mark.parametrize("ohat", [30.0, 40.0, 50.0])
+    def test_msp_stays_in_range_as_p_o_nears_one(self, ohat):
+        # 1 - p^o cancels near p^o = 1, so MSP comes from the inlier softmax
+        # s alone; for inlier logits (1, 0, -1) it is 0.3348 at every ohat
+        gen = RngStream(10, 0).generator()
+        y = np.vstack([[1.0, 0.0, -1.0], gen.normal(size=(50, 3)) * 4])
+        probs = softmax_head(head_of(y, np.full(len(y), ohat)))
+        msp = score_msp(probs)
+        assert np.array_equal(msp, 1.0 - probs.s.max(axis=1))
+        assert np.all((msp >= 0.0) & (msp <= 1.0 - 1.0 / 3))
+        assert msp[0] == pytest.approx(0.33476, abs=1e-5)
+
     def test_msp_shift_invariant_maxlogit_not(self):
         gen = RngStream(9, 0).generator()
         y = gen.normal(size=(20, 4))
