@@ -33,6 +33,11 @@ file atomically: to a temp file it creates beside the target, then a
 rename, so no other file is touched. A scene label outside
 1..num_classes + 2 exits 2, naming the .label file.
 
+``eval`` writes summary.csv (AUPR, AUROC and ``miou_old`` of the scores
+p_o, msp and maxlogit), curves.csv (p^o coverage curves) and histogram.csv
+(p^o). A cell is NA exactly when its own metric is undefined: AUPR and AUROC
+without outlier points, AUROC and ``miou_old`` without inliers (it warns).
+
 ``gradcheck`` sets only the instance count and size. Its 4 classes, logit
 scale ``losses.GRADCHECK_SIGMA`` and step ``GRADCHECK_STEP`` are fixed, and
 its tolerance is ``GRADCHECK_TOLERANCE``.
@@ -53,16 +58,8 @@ from .core import LabelSpace, RngStream, Scene
 from .io import (FormatError, asset_paths, generate_scan, load_asset_dir, read_scene,
                  write_csv, write_json, write_scene)
 from .losses import run_gradient_checks, softmax_head
-from .metrics import (
-    ScoredPoints,
-    UndefinedMetricError,
-    aupr,
-    auroc,
-    coverage_curves,
-    default_grid,
-    miou_old,
-    po_histogram,
-)
+from .metrics import (ScoredPoints, aupr_auroc, coverage_curves, default_grid, miou_old,
+                      po_histogram)
 from .model import (
     TrainingDiverged,
     extract_features,
@@ -318,20 +315,12 @@ def cmd_eval(cfg: RunConfig, force: bool, jobs: int) -> int:
     p_o, msp, maxlogit, pred, truth = map(np.concatenate, zip(*results))
     is_outlier = truth > space.num_classes
     if not is_outlier.any():
-        print("warning: eval set contains no outlier points; AUPR/AUROC are NA",
-              file=sys.stderr)
-
-    try:
-        miou = miou_old(pred, truth, space.num_classes)
-    except UndefinedMetricError:
-        print("warning: eval set contains no inlier points; miou_old is NA", file=sys.stderr)
-        miou = float("nan")
-    rows = []
-    for name, scores in (("p_o", p_o), ("msp", msp), ("maxlogit", maxlogit)):
-        try:
-            rows.append((name, aupr(scores, is_outlier), auroc(scores, is_outlier), miou))
-        except UndefinedMetricError:
-            rows.append((name, float("nan"), float("nan"), miou))
+        print("warning: eval set contains no outlier points; AUPR/AUROC are NA", file=sys.stderr)
+    if is_outlier.all():
+        print("warning: eval set contains no inlier points; AUROC/miou_old are NA", file=sys.stderr)
+    miou = miou_old(pred, truth, space.num_classes)
+    rows = [(name, *aupr_auroc(scores, is_outlier), miou)
+            for name, scores in (("p_o", p_o), ("msp", msp), ("maxlogit", maxlogit))]
     _make_parents(targets)
     write_csv(paths["summary"], ["score", "aupr", "auroc", "miou_old"], rows)
 

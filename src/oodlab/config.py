@@ -16,8 +16,8 @@ training stream's key, so a manifest's ``features``, ``train`` and
 ``train.beta_lr_scale`` and ``train.scenes_per_batch`` are not keys).
 Scan labels must lie in the label space, 1..num_classes + 2. The other
 sections check their values in ``__post_init__``, where scan also builds
-its ScanConfig. Angles are degrees, converted by ``ScanSection.build``,
-except the merge's angular windows, which follow SynthesisConfig (radians).
+its ScanConfig and caps its ray tests at MAX_SCAN_CASTS. Angles are degrees
+(``ScanSection.build`` converts them), except the merge's windows (radians).
 
 Every command writes a RunManifest JSON, ``<command>.manifest.json``,
 next to its outputs (``write_manifest``): the resolved config snapshot,
@@ -44,6 +44,12 @@ from .model import FeatureConfig, TrainConfig
 from .synthesis import SynthesisConfig
 
 ARTIFACT_VERSION = "0.1.0"
+
+# The most ray-surface tests one scan may ask for, rays x (1 + obstacles)
+# with rays >= 1 (each obstacle is drawn even if no ray is cast): 22 times a
+# 64-beam scan at 0.2 degrees among 12 obstacles (115,200 x 13), and a
+# 256 MiB float64 table of hit distances in ``io.generate_scan``.
+MAX_SCAN_CASTS = 2**25
 
 
 class ConfigError(ValueError):
@@ -77,7 +83,13 @@ class ScanSection:
         for name in ("obstacle_distance", "obstacle_size"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"scan.{name}: must hold two numbers, [min, max]")
-        self.build()  # the obstacle specs and ScanConfig's own checks
+        scan = self.build()  # the obstacle specs and ScanConfig's own checks
+        rays = len(scan.beam_elevations) * scan.azimuth_count
+        surfaces = 1 + len(scan.obstacles) + scan.random_obstacles
+        for key, n in (("azimuth_step_deg", rays), ("random_obstacles", max(rays, 1) * surfaces)):
+            if n > MAX_SCAN_CASTS:
+                raise ConfigError(f"scan.{key}: {rays:.4g} rays x {surfaces} surfaces (ground "
+                                  f"and obstacles) exceed MAX_SCAN_CASTS = {MAX_SCAN_CASTS}")
 
     def _fixed_obstacles(self) -> tuple[PrimitiveObstacle, ...]:
         fixed, keys = [], {"kind", "center", "size", "yaw_deg", "label"}
@@ -122,10 +134,10 @@ MAX_GRID_SIZE = 10**6
 @dataclass
 class MetricsSection:
     """``grid_size`` target coverages for the coverage curves, at most
-    MAX_GRID_SIZE so that the grid's arrays stay small: each grid point is a
-    row of curves.csv and an O(n) AUPR sweep, and a grid finer than the eval
-    set's n points only repeats rows. A million is far above the 100 every
-    run uses and the desk eval set's 190k points."""
+    MAX_GRID_SIZE so that the grid's arrays stay small: a grid point is a
+    row of curves.csv and at most one AUPR sweep over tie blocks, and a grid
+    finer than the eval set's n points only repeats rows. A million is far
+    above the 100 every run uses and the desk eval set's 190k points."""
 
     grid_size: int = 100
 

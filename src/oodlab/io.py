@@ -346,6 +346,12 @@ class ScanConfig:
     obstacle_distance: tuple[float, float] = (4.0, 22.0)
     obstacle_size: tuple[float, float] = (0.6, 2.8)
 
+    @property
+    def azimuth_count(self):
+        """Azimuths per beam in one turn; inf when the count overflows."""
+        n = float(TAU) / self.azimuth_step + 1e-9  # a Python float: inf without a warning
+        return math.floor(n) if math.isfinite(n) else n
+
     def __post_init__(self):
         if len(self.beam_elevations) < 1:
             raise ValueError("at least one beam elevation required")
@@ -380,8 +386,7 @@ def _sample_obstacles(cfg: ScanConfig, gen) -> list[PrimitiveObstacle]:
 
 
 def _ray_grid(cfg: ScanConfig):
-    n_az = int(np.floor(TAU / cfg.azimuth_step + 1e-9))
-    lons = -np.pi + cfg.azimuth_step * np.arange(n_az)
+    lons = -np.pi + cfg.azimuth_step * np.arange(cfg.azimuth_count)
     lats = np.asarray(cfg.beam_elevations, dtype=np.float64)
     lon_g, lat_g = np.meshgrid(lons, lats)
     lon_f, lat_f = lon_g.ravel(), lat_g.ravel()

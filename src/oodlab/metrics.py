@@ -15,14 +15,16 @@ score < tau is the first tie blocks of the ascending score order.
 
 Each metric has one implementation, a kernel over the first b tie blocks of
 an ascending order: ``_miou`` reads their confusion count, and ``_aupr``
-and ``_auroc`` the block statistics of ``_tie_blocks``. ``miou_old``,
-``aupr`` and ``auroc`` run their kernel on all the blocks, and a coverage
-curve runs it on the covered ones, so each curve value is its metric on
-the covered subset by construction. The curves' AUPR/AUROC thus measure
-how well the score still separates outliers among the points the model
-predicts on (over all points they would not change with the threshold).
-An undefined curve point (e.g. a single-class covered subset) is NaN, an
-explicit gap ("NA" in CSV output), never interpolated.
+and ``_auroc`` the block statistics of ``_tie_blocks``. ``miou_old`` and
+``aupr_auroc`` (one sort per score array; ``aupr`` and ``auroc`` are its
+halves) run their kernels on all the blocks, and a coverage curve on the
+covered ones, so each curve value is its metric on the covered subset by
+construction. The curves' AUPR/AUROC thus measure how well the score still
+separates outliers among the points the model predicts on (over all points
+they would not change with the threshold). One rule covers an undefined
+value: it is NaN ("NA" in CSV output), never an error and never
+interpolated. AUPR needs a positive, AUROC a positive and a negative, both
+a score array without NaN, and mIoU an inlier ground-truth point.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-
-class UndefinedMetricError(ValueError):
-    """The metric is undefined for this input (e.g. single-class AUROC)."""
 
 
 @dataclass
@@ -94,7 +92,7 @@ def _aupr(blocks: _TieBlocks, k: int, b: int) -> float:
     step times its precision."""
     n_pos = int(blocks.cum_pos[b])
     if n_pos == 0:
-        raise UndefinedMetricError("AUPR needs at least one positive")
+        return float("nan")
     # in place: the curves run this sweep once per distinct cut
     tp = np.subtract(n_pos, blocks.cum_pos[b - 1::-1], dtype=np.float64)
     area = np.subtract(k, blocks.starts[b - 1::-1], dtype=np.float64)
@@ -111,33 +109,34 @@ def _auroc(blocks: _TieBlocks, k: int, b: int) -> float:
     n_pos = int(blocks.cum_pos[b])
     n_neg = k - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUROC needs at least one positive and one negative")
+        return float("nan")
     rank_sum = blocks.cum_rank2[b] / 2.0
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def _whole_set(kernel, scores, is_outlier) -> float:
-    """``kernel`` on all the points. Block statistics do not depend on the
-    order within a tie block, so any sort kind serves."""
+def aupr_auroc(scores, is_outlier) -> tuple[float, float]:
+    """(AUPR, AUROC) of all the points from one sort: block statistics do
+    not depend on the order within a tie block, so any sort kind serves."""
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(scores)
     sorted_scores = scores[order]
+    # argsort puts NaN last, and a NaN has no rank
+    if not sorted_scores.size or np.isnan(sorted_scores[-1]):
+        return float("nan"), float("nan")
     starts = _tie_starts(sorted_scores)
-    value = kernel(_tie_blocks(starts, np.asarray(is_outlier, dtype=bool)[order]),
-                   len(scores), len(starts))
-    # argsort puts NaN last, and a NaN has no rank: the metric is NaN
-    return float("nan") if np.isnan(sorted_scores[-1]) else value
+    blocks = _tie_blocks(starts, np.asarray(is_outlier, dtype=bool)[order])
+    return _aupr(blocks, len(scores), len(starts)), _auroc(blocks, len(scores), len(starts))
 
 
 def auroc(scores, is_outlier) -> float:
     """Rank-based (Mann-Whitney) AUROC with midrank tie handling."""
-    return _whole_set(_auroc, scores, is_outlier)
+    return aupr_auroc(scores, is_outlier)[1]
 
 
 def aupr(scores, is_outlier) -> float:
     """Average precision over the descending-score sweep, with step
     interpolation and tied scores processed as one block."""
-    return _whole_set(_aupr, scores, is_outlier)
+    return aupr_auroc(scores, is_outlier)[0]
 
 
 def _confusions(true, pred, num_classes: int, order, cuts) -> np.ndarray:
@@ -159,7 +158,7 @@ def _miou(confusion: np.ndarray) -> float:
     """Mean IoU ×100 of a ``_confusions`` matrix over the classes 1..c
     present on either side."""
     if not confusion.any():
-        raise UndefinedMetricError("no inlier ground truth present")
+        return float("nan")
     in_true = confusion.sum(axis=1)[1:]
     in_pred = confusion.sum(axis=0)[1:]
     present = (in_true + in_pred) > 0
@@ -202,7 +201,7 @@ def _coverage_cuts(sorted_scores: np.ndarray, starts: np.ndarray, targets):
     j = np.searchsorted(counts / n, targets, side="left")
     unreachable = np.flatnonzero(j >= len(cand))
     if unreachable.size:
-        raise UndefinedMetricError(f"coverage {float(targets[unreachable[0]])} unreachable")
+        raise ValueError(f"coverage {float(targets[unreachable[0]])} unreachable")
     return cand[j], counts[j], j
 
 
@@ -231,13 +230,6 @@ def default_grid(size: int = 100) -> np.ndarray:
     return np.arange(1, size + 1) / size
 
 
-def _or_nan(kernel, *args) -> float:
-    try:
-        return kernel(*args)
-    except UndefinedMetricError:
-        return float("nan")
-
-
 def coverage_curves(points: ScoredPoints, num_classes: int, grid=None) -> CoverageCurves:
     """Sweep target coverages; at each, pick the smallest threshold reaching
     it and evaluate risk / AUPR / AUROC on the covered subset.
@@ -246,10 +238,10 @@ def coverage_curves(points: ScoredPoints, num_classes: int, grid=None) -> Covera
     exceed the target when scores are tied).
 
     One stable sort serves the sweep: the covered subset of each distinct cut
-    is its first b tie blocks, k points, and the kernels of ``miou_old``,
-    ``aupr`` and ``auroc`` score it from that prefix of ``_confusions`` and
-    ``_tie_blocks``; a gap is where they raise. Cost: one O(n log n) sort,
-    O(n) counting, and O(m * B) for AUPR over m grid points and B blocks.
+    is its first b tie blocks, k points, and the kernels of ``miou_old``
+    and ``aupr_auroc`` score it from that prefix of ``_confusions`` and
+    ``_tie_blocks``. Cost: one O(n log n) sort, O(n) counting, and
+    O(m * B) for AUPR over m grid points and B blocks.
     """
     grid = default_grid() if grid is None else np.asarray(grid, dtype=np.float64)
     order = np.argsort(points.scores, kind="stable")
@@ -262,7 +254,7 @@ def coverage_curves(points: ScoredPoints, num_classes: int, grid=None) -> Covera
     confusion = _confusions(points.true_labels, points.pred_labels, num_classes, order, cuts)
     del order
     miou, pr, roc = np.array([
-        (_or_nan(_miou, prefix), _or_nan(_aupr, blocks, k, b), _or_nan(_auroc, blocks, k, b))
+        (_miou(prefix), _aupr(blocks, k, b), _auroc(blocks, k, b))
         for prefix, k, b in zip(confusion, cuts.tolist(), n_blocks[first].tolist())
     ]).reshape(-1, 3)[cut_of].T
     cov = covered / len(points.scores)

@@ -13,7 +13,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from oodlab.metrics import UndefinedMetricError, aupr, auroc, threshold_for_coverage
+from oodlab.metrics import aupr, auroc, threshold_for_coverage
+
+
+class Undefined(ValueError):
+    """An oracle's metric is undefined for its input."""
 
 
 def auroc_pair_counting(scores, is_outlier):
@@ -48,12 +52,12 @@ def aupr_exhaustive_sweep(scores, is_outlier):
 def miou_brute_force(pred_labels, true_labels, num_classes):
     """Oracle for ``miou_old``: one IoU per inlier class 1..c from boolean
     masks over the points with true label <= c, averaged over the classes
-    present on either side; UndefinedMetricError when no such point."""
+    present on either side; Undefined when no such point."""
     pred = np.asarray(pred_labels, dtype=np.int64)
     true = np.asarray(true_labels, dtype=np.int64)
     keep = true <= num_classes
     if not keep.any():
-        raise UndefinedMetricError("no inlier ground truth present")
+        raise Undefined("no inlier ground truth present")
     pred = pred[keep]
     true = true[keep]
     ious = []
@@ -77,11 +81,11 @@ def coverage(scores, tau):
 
 def selective_risk(points, tau, num_classes):
     """(100 - mIoU on the covered subset) / coverage, by ``miou_brute_force``;
-    UndefinedMetricError at zero coverage."""
+    Undefined at zero coverage."""
     covered = points.scores < tau
     phi = float(covered.mean())
     if phi == 0.0:
-        raise UndefinedMetricError("zero coverage")
+        raise Undefined("zero coverage")
     miou = miou_brute_force(points.pred_labels[covered], points.true_labels[covered],
                             num_classes)
     return (100.0 - miou) / phi
@@ -91,29 +95,26 @@ def coverage_curves_brute_force(points, num_classes, grid):
     """Oracle: at each target coverage, pick the threshold with
     ``threshold_for_coverage`` and recompute coverage, risk, AUPR and AUROC
     from scratch on the covered subset with ``coverage``,
-    ``selective_risk``, ``aupr`` and ``auroc``; a metric that raises is a
-    NaN gap. Returns the five curve arrays."""
+    ``selective_risk``, ``aupr`` and ``auroc``; a risk that raises is a NaN
+    gap, as is an AUPR or AUROC that is NaN. Returns the five curve arrays."""
     grid = np.asarray(grid, dtype=np.float64)
     m = len(grid)
     cov = np.empty(m)
     thr = np.empty(m)
     risk = np.full(m, np.nan)
-    pr = np.full(m, np.nan)
-    roc = np.full(m, np.nan)
+    pr = np.empty(m)
+    roc = np.empty(m)
     for i, target in enumerate(grid):
         tau = threshold_for_coverage(points.scores, float(target))
         covered = points.scores < tau
         thr[i] = tau
         cov[i] = coverage(points.scores, tau)
-        for out, metric, args in (
-            (risk, selective_risk, (points, tau, num_classes)),
-            (pr, aupr, (points.scores[covered], points.is_outlier[covered])),
-            (roc, auroc, (points.scores[covered], points.is_outlier[covered])),
-        ):
-            try:
-                out[i] = metric(*args)
-            except UndefinedMetricError:
-                pass
+        try:
+            risk[i] = selective_risk(points, tau, num_classes)
+        except Undefined:
+            pass
+        pr[i] = aupr(points.scores[covered], points.is_outlier[covered])
+        roc[i] = auroc(points.scores[covered], points.is_outlier[covered])
     return cov, thr, risk, pr, roc
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import _benchmark
 from oodlab.cli import EXIT_COLLISION, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
-from oodlab.config import MAX_GRID_SIZE, ConfigError, RunConfig, file_digest, load_config
+from oodlab.config import (MAX_GRID_SIZE, MAX_SCAN_CASTS, ConfigError, RunConfig, file_digest,
+                           load_config)
 from oodlab.core import LabelSpace, RngStream, Scene
 from oodlab.io import read_scene, write_scene
 from oodlab.losses import LOSS_MODES, LossConfig
@@ -257,6 +258,31 @@ class TestConfig:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["genscan", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scan, message", [
+        ({"azimuth_step_deg": 1e-6}, "scan.azimuth_step_deg: 5.76e+09 rays x 7 surfaces"),
+        ({"azimuth_step_deg": 3e-322}, "scan.azimuth_step_deg: inf rays x 7 surfaces"),
+        ({"random_obstacles": 10**9}, "scan.random_obstacles: 5760 rays x 1000000001 surfaces"),
+        ({"obstacles": [{"kind": "box", "center": [5, 0, 1], "size": [1, 1, 1]}] * 5826},
+         "scan.random_obstacles: 5760 rays x 5833 surfaces"),
+        ({"azimuth_step_deg": 400.0, "random_obstacles": 2**25},
+         "scan.random_obstacles: 0 rays x 33554433 surfaces"),
+    ], ids=["tiny-step", "step-count-overflows", "random-obstacles", "fixed-obstacles",
+            "obstacles-without-rays"])
+    def test_scan_work_bounded(self, scan, message):
+        # load_config only: a scan this large would not fit in memory
+        assert MAX_SCAN_CASTS == 2**25
+        with pytest.raises(ConfigError) as err:
+            load_config(overrides={"scan": scan})
+        assert str(err.value) == (f"{message} (ground and obstacles) exceed "
+                                  f"MAX_SCAN_CASTS = {MAX_SCAN_CASTS}")
+
+    def test_largest_scan_work_accepted(self):
+        # 5760 rays x (ground + 5824 obstacles) = 33,552,000 <= MAX_SCAN_CASTS
+        cfg = load_config(overrides={"scan": {"random_obstacles": 5824}})
+        assert 5760 * (1 + cfg.scan.random_obstacles) <= MAX_SCAN_CASTS
+        with pytest.raises(ConfigError, match="scan.random_obstacles"):
+            load_config(overrides={"scan": {"random_obstacles": 5825}})
 
     @pytest.mark.parametrize("command", ["genscan", "synth", "train", "eval", "gradcheck"])
     def test_bad_section_fails_every_command(self, tmp_path, monkeypatch, capsys, command):
@@ -867,8 +893,7 @@ class TestEval:
         rows = (tmp_path / "out/summary.csv").read_text().splitlines()
         assert rows[1].split(",")[1] == "NA"
 
-    def test_no_inliers_gives_na_miou_and_warning(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
+    def all_outlier_config(self, tmp_path):
         scenes_dir, ckpt = make_perfect_fixture(tmp_path)
         for f in scenes_dir.iterdir():
             f.unlink()
@@ -877,11 +902,25 @@ class TestEval:
                                np.full(50, 5.0)])
         write_scene(Scene(points=pts, labels=np.full(50, 4)),
                     scenes_dir / "000000.bin", scenes_dir / "000000.label")
-        cfg = self.eval_config(tmp_path, scenes_dir, ckpt)
-        assert main(["eval", "--config", cfg]) == EXIT_OK
-        assert "warning: eval set contains no inlier points" in capsys.readouterr().err
+        return self.eval_config(tmp_path, scenes_dir, ckpt)
+
+    def test_no_inliers_gives_na_miou_and_warning(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--config", self.all_outlier_config(tmp_path)]) == EXIT_OK
+        assert ("warning: eval set contains no inlier points; AUROC/miou_old are NA"
+                in capsys.readouterr().err)
         rows = (tmp_path / "out/summary.csv").read_text().splitlines()
         assert [row.split(",")[3] for row in rows[1:]] == ["NA"] * 3
+
+    def test_no_inliers_summary_matches_full_coverage_curve(self, tmp_path, monkeypatch):
+        # a cell is NA only when its own metric is: AUPR is 1.0 without inliers
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--config", self.all_outlier_config(tmp_path)]) == EXIT_OK
+        summary = (tmp_path / "out/summary.csv").read_text().splitlines()
+        curves = (tmp_path / "out/curves.csv").read_text().splitlines()
+        assert curves[-1].split(",")[0] == "1.0"
+        assert summary[1].split(",")[:3] == ["p_o", "1.0", "NA"]
+        assert summary[1].split(",")[1:3] == curves[-1].split(",")[3:5]
 
     def test_jobs_flag_preserves_output(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

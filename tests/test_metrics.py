@@ -12,8 +12,8 @@ from oodlab.metrics import (
     CoverageCurves,
     Histogram,
     ScoredPoints,
-    UndefinedMetricError,
     aupr,
+    aupr_auroc,
     auroc,
     coverage_curves,
     default_grid,
@@ -56,10 +56,8 @@ class TestAuroc:
                      [True, False, True, False]) == pytest.approx(0.75)
 
     def test_single_class_error(self):
-        with pytest.raises(UndefinedMetricError):
-            auroc([0.1, 0.2], [True, True])
-        with pytest.raises(UndefinedMetricError):
-            auroc([0.1, 0.2], [False, False])
+        assert np.isnan(auroc([0.1, 0.2], [True, True]))
+        assert np.isnan(auroc([0.1, 0.2], [False, False]))
 
     def test_matches_pair_counting(self):
         for seed in range(60):
@@ -82,8 +80,7 @@ class TestAupr:
         assert aupr([0.3, 0.9, 0.1], [True, True, True]) == 1.0
 
     def test_no_positive_error(self):
-        with pytest.raises(UndefinedMetricError):
-            aupr([0.5, 0.6], [False, False])
+        assert np.isnan(aupr([0.5, 0.6], [False, False]))
 
     def test_tie_block_processing(self):
         # one tie block containing both a positive and a negative
@@ -101,8 +98,35 @@ class TestAupr:
     def test_nan_score_gives_nan(self):
         # a NaN has no rank, as in auroc; it used to rank below every score
         assert np.isnan(aupr([0.9, np.nan, 0.1], [True, True, False]))
-        with pytest.raises(UndefinedMetricError):
-            aupr([0.9, np.nan], [False, False])
+        assert np.isnan(aupr([0.9, np.nan], [False, False]))
+
+
+class TestAuprAuroc:
+    """``aupr_auroc`` is both whole-set metrics from one sort."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_single_metrics_and_full_coverage_curve(self, seed):
+        gen = RngStream(37, seed).generator()
+        n = int(gen.integers(1, 300))
+        scores = gen.integers(0, 4, size=n) / 4.0 - gen.choice([0.0, 0.5], size=n)
+        pts = labelled_points(gen, scores, 3, outlier_share=float(gen.uniform()))
+        pr, roc = aupr_auroc(pts.scores, pts.is_outlier)
+        assert np.array_equal([pr, roc], [aupr(pts.scores, pts.is_outlier),
+                                         auroc(pts.scores, pts.is_outlier)], equal_nan=True)
+        curves = coverage_curves(pts, 3, grid=[1.0])
+        assert np.array_equal([pr, roc], [curves.aupr[0], curves.auroc[0]], equal_nan=True)
+
+    def test_single_class(self):
+        pr, roc = aupr_auroc([0.1, 0.2, 0.2], [True, True, True])
+        assert pr == 1.0 and np.isnan(roc)
+        assert np.isnan(aupr_auroc([0.1, 0.2, 0.2], [False, False, False])).all()
+
+    def test_nan_score(self):
+        assert np.isnan(aupr_auroc([0.9, np.nan, 0.1], [True, False, False])).all()
+
+    @pytest.mark.parametrize("metric", [aupr_auroc, aupr, auroc])
+    def test_empty_input_is_nan(self, metric):
+        assert np.isnan(metric([], [])).all()
 
 
 @pytest.mark.parametrize("metric", [aupr, auroc])
@@ -154,8 +178,7 @@ class TestMiou:
         assert miou_old([1, 1], [1, 1], 5) == 100.0
 
     def test_no_inlier_gt_error(self):
-        with pytest.raises(UndefinedMetricError):
-            miou_old([1], [3], 2)
+        assert np.isnan(miou_old([1], [3], 2))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):
@@ -416,7 +439,7 @@ class TestCoverageCurvesOracle:
 
     def test_target_above_one_raises(self):
         pts = make_points([0.1, 0.9], [False, True], [1, 3], [1, 3])
-        with pytest.raises(UndefinedMetricError, match="coverage 1.5 unreachable"):
+        with pytest.raises(ValueError, match="coverage 1.5 unreachable"):
             coverage_curves(pts, 2, np.array([0.5, 1.5]))
 
     @settings(max_examples=150, deadline=None)
