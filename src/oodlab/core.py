@@ -91,7 +91,9 @@ class Scene:
     memo, one entry per density radius, each checked against a digest of
     ``points`` on every use, so mutating or reassigning ``points`` never
     yields stale counts. The memo takes no part in equality or ``repr``,
-    and ``copy()`` starts with an empty one.
+    and ``copy()`` starts with an empty one. ``synthesis.synthesize_scene``
+    likewise keeps the spherical coordinates of the scene it merges into,
+    and drops them before it returns the scene.
     """
 
     points: np.ndarray
@@ -100,6 +102,8 @@ class Scene:
     # {density radius: (points digest, read-only density column)}
     _density_memo: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    # (points array, its to_spherical) between the merges of one synthesis
+    _spherical: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)

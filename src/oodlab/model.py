@@ -34,11 +34,19 @@ from .losses import LOSS_MODES, HeadOutput, HeadStats, LossConfig, total_loss
 
 FEATURE_NAMES = ("x", "y", "z", "r", "lat", "lon", "density")
 
-# Points per cKDTree leaf for the density count. On a 2-vCPU Xeon (scipy
-# 1.17), 128-point leaves with sliding-midpoint splits counted 1.0 m balls
-# 1.6-2.1x faster than scipy's 16-point median-split default on 96k-point
-# sweep scans (~1100 neighbours per point) and 1.3-1.5x faster on 4.8k-point
-# desk scenes (~60). Leaves of 64 to 192 points timed within noise of 128.
+# Pairs within the density radius that the self-join may list at once: the
+# (pairs, 2) int64 array holds at most 64 MiB. A scene whose x-slab bound
+# (``_x_slab_pairs``) is larger is counted by the ball query instead.
+DENSITY_PAIR_BUDGET = 1 << 22
+
+# Points per cKDTree leaf for the ball query, the density path of scenes
+# over DENSITY_PAIR_BUDGET such as the 96k-point sweep scans (~1100
+# neighbours per point). There, on a 2-vCPU Xeon (scipy 1.17), 128-point
+# leaves with sliding-midpoint splits counted 1.0 m balls 1.6-2.1x faster
+# than scipy's 16-point median-split default, and leaves of 64 to 192
+# points timed within noise of 128. The self-join keeps scipy's 16: on the
+# desk eval scenes 16-, 32- and 64-point leaves timed within noise of each
+# other (0.19-0.25 s for 40 scenes) and 128-point leaves 25-40% slower.
 DENSITY_LEAFSIZE = 128
 
 CHECKPOINT_MAGIC = b"OODC"
@@ -75,6 +83,18 @@ class FeatureConfig:
     The density column is counted once per Scene and ``density_radius``:
     ``extract_features`` keeps it on the Scene and reuses it while a digest
     of the scene's points still matches. ``Scene.copy()`` carries no counts.
+
+    Two paths count the same integers. The x-slab bound, the number of
+    point pairs whose x coordinates differ by at most the radius, chooses
+    between them. At or under ``DENSITY_PAIR_BUDGET`` (2**22 pairs) a
+    cKDTree self-join lists each pair within the radius once; over it, a
+    ball query per point counts each pair twice but lists none. On a 2-vCPU
+    Xeon (numpy 2.4, scipy 1.17), the 40 desk eval scenes of benchmark seed
+    301 (~4.75k points, bounds 0.88M-1.64M, at most 275k pairs) took
+    0.18-0.25 s by self-join against 0.38-0.49 s by ball query, and the
+    bound 0.15-0.24 ms per scene. One 95,838-point sweep scan (bound 440M-482M,
+    54.5M-64.2M pairs) took 2.5-2.9 s and 1.1 GB by self-join against
+    1.1-1.2 s by ball query, and the bound 3.9 ms.
     """
 
     features: tuple[str, ...] = FEATURE_NAMES
@@ -102,6 +122,17 @@ class FeatureConfig:
                 raise ValueError(f"normalizers[{name!r}] must be a nonzero finite number")
 
 
+def _x_slab_pairs(points: np.ndarray, radius: float) -> int:
+    """Pairs of points whose x coordinates differ by at most ``radius``, an
+    upper bound on the pairs within ``radius``. The slab is widened by a few
+    ulps so that rounding in the distance test cannot push a counted pair
+    outside it."""
+    xs = np.sort(points[:, 0])
+    slab = radius + (radius + np.abs(xs).max()) * 2.0**-48
+    n = len(xs)
+    return int(np.searchsorted(xs, xs + slab, side="right").sum()) - n * (n + 1) // 2
+
+
 def _density_column(scene: Scene, radius: float) -> np.ndarray:
     """Per point, the count of other points within ``radius`` (as float64),
     from the scene's memo when its points are unchanged since the count."""
@@ -112,13 +143,16 @@ def _density_column(scene: Scene, radius: float) -> np.ndarray:
     memo = scene._density_memo.get(radius)
     if memo is not None and memo[0] == digest:
         return memo[1]
-    # Shaped for counting, not for scipy's defaults: with 16-point leaves a
-    # ball of ~1000 neighbours costs more in tree walking than in distance
-    # tests, so large leaves scanned straight through are cheaper
-    # (DENSITY_LEAFSIZE). The counts are the same integers either way;
-    # tests/test_model.py checks them against a brute-force oracle.
-    tree = cKDTree(points, leafsize=DENSITY_LEAFSIZE, balanced_tree=False)
-    column = tree.query_ball_point(points, radius, return_length=True) - 1.0
+    if _x_slab_pairs(points, radius) <= DENSITY_PAIR_BUDGET:
+        # Each pair once; ties at the radius and duplicates are listed.
+        tree = cKDTree(points, balanced_tree=False)
+        pairs = tree.query_pairs(radius, output_type="ndarray")
+        column = np.bincount(pairs.ravel(), minlength=len(points)).astype(np.float64)
+    else:
+        # Each pair twice, but no pair list: large leaves scanned straight
+        # through are cheaper than tree walking for big balls.
+        tree = cKDTree(points, leafsize=DENSITY_LEAFSIZE, balanced_tree=False)
+        column = tree.query_ball_point(points, radius, return_length=True) - 1.0
     column.flags.writeable = False
     scene._density_memo[radius] = (digest, column)
     return column

@@ -264,6 +264,18 @@ def window_min_radius(
     return best
 
 
+def _spherical(scene: Scene) -> np.ndarray:
+    """The scene's (lon, lat, r): the coordinates kept by the merge that made
+    the scene while its points array is still the merged one, else computed.
+    Only ``synthesize_scene``, which changes no scene in place between its
+    merges, keeps them, and a row's coordinates are the same bits whether
+    ``to_spherical`` converts it alone or with the whole scene."""
+    kept = scene._spherical
+    if kept is not None and kept[0] is scene.points:
+        return kept[1]
+    return to_spherical(scene.points)
+
+
 def merge_spherical(
     scene: Scene,
     obj_points: np.ndarray,
@@ -283,7 +295,7 @@ def merge_spherical(
     the replacement only happens where the object is nearer than the
     existing surface.
     """
-    scene_sph = to_spherical(scene.points)
+    scene_sph = _spherical(scene)
     obj_sph = to_spherical(np.asarray(obj_points, dtype=np.float64))
     best = window_min_radius(scene_sph, obj_sph, window_lon, window_lat)
     changed = np.isfinite(best)
@@ -297,6 +309,10 @@ def merge_spherical(
         new_sph[:, 2] = best[idx]
         out.points[idx] = from_spherical(new_sph)
         out.labels[idx] = space.synthetic_outlier
+    if scene._spherical is not None:  # inside synthesize_scene
+        out_sph = scene_sph.copy()
+        out_sph[idx] = to_spherical(out.points[idx])
+        out._spherical = (out.points, out_sph)
     report = MergeReport(
         object_id=object_id,
         indices=idx,
@@ -325,7 +341,8 @@ def synthesize_scene(
         raise ValueError("asset pool must be nonempty")
     gen = as_generator(rng)
     count = sample_object_count(gen, cfg.object_count_trials, cfg.object_count_prob)
-    out = scene
+    out = scene.copy()
+    out._spherical = (out.points, to_spherical(out.points))
     reports: list[MergeReport] = []
     for g in range(count):
         asset = assets[int(gen.integers(len(assets)))]
@@ -344,8 +361,7 @@ def synthesize_scene(
             occlusion_capped=cfg.occlusion_capped,
         )
         reports.append(report)
-    if out is scene:
-        out = scene.copy()
+    out._spherical = None
     return out, reports
 
 

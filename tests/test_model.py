@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 import oodlab.model as model_mod
 from oodlab.core import LabelSpace, RngStream, Scene
-from oodlab.io import FormatError
+from oodlab.io import FormatError, generate_scan
 from oodlab.losses import LOSS_MODES, HeadOutput, LossConfig, cce_loss, softmax_head, total_loss
 from oodlab.model import (
     CHECKPOINT_MAGIC,
@@ -30,6 +30,7 @@ from oodlab.model import (
     _forward_cache,
 )
 
+from _benchmark import SCAN_CFG as DESK_SCAN_CFG
 from conftest import blob_scenes, head_of
 from oracles import density_brute_force
 
@@ -94,9 +95,19 @@ class TestExtractFeatures:
             FeatureConfig(features=("z",), normalizers={"x": 20.0})
 
 
-def density_column(points, r):
+# DENSITY_PAIR_BUDGET values that send every scene to one density path.
+SELF_JOIN = 1 << 62
+BALL_QUERY = -1
+
+
+def density_column(points, r, budget=None):
+    """The density column of ``points``, under ``budget`` when one is given."""
     scene = Scene(points=points, labels=np.ones(len(points), dtype=int))
-    return extract_features(scene, FeatureConfig(features=("density",), density_radius=r))[:, 0]
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(model_mod, "DENSITY_PAIR_BUDGET", budget)
+        return extract_features(
+            scene, FeatureConfig(features=("density",), density_radius=r))[:, 0]
 
 
 def lattice(spacing, n=10):
@@ -104,10 +115,24 @@ def lattice(spacing, n=10):
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
+# Clouds with ties on a dyadic grid, duplicates and arbitrary floats.
+cloud_coords = st.lists(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
+                                  st.floats(-2.0, 2.0)),
+                        min_size=3, max_size=600)
+cloud_radii = st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 4.0))
+
+
+def cloud(coords):
+    return np.array(coords[:len(coords) // 3 * 3]).reshape(-1, 3)
+
+
 class TestDensityMatchesBruteForce:
     """The density column against ``oracles.density_brute_force``, on inputs
     with points at exactly distance r, duplicates, and enough points per ball
-    that whole tree nodes fall inside it."""
+    that whole tree nodes fall inside it. Counted by the self-join here and
+    by the ball query in the subclass below."""
+
+    budget = SELF_JOIN
 
     @pytest.mark.parametrize("spacing", [1.0, 0.3, 0.1])
     @pytest.mark.parametrize("offset", [0.0, 7.3])
@@ -115,35 +140,82 @@ class TestDensityMatchesBruteForce:
         points = lattice(spacing) + offset
         want = density_brute_force(points, spacing)
         assert want.max() == 6  # the six axis neighbours, at r up to rounding
-        assert np.array_equal(density_column(points, spacing), want)
+        assert np.array_equal(density_column(points, spacing, self.budget), want)
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_float32_rounded_cloud(self, r, seed):
         gen = RngStream(seed, 0).generator()
         points = gen.uniform(-2.0, 2.0, size=(1000, 3)).astype(np.float32).astype(np.float64)
-        assert np.array_equal(density_column(points, r), density_brute_force(points, r))
+        assert np.array_equal(density_column(points, r, self.budget), density_brute_force(points, r))
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
     def test_quarter_grid_cloud_with_duplicates(self, r):
         gen = RngStream(2, 0).generator()
         points = np.round(gen.uniform(-1.5, 1.5, size=(1000, 3)) * 4.0) / 4.0
         assert len(np.unique(points, axis=0)) < len(points)
-        assert np.array_equal(density_column(points, r), density_brute_force(points, r))
+        assert np.array_equal(density_column(points, r, self.budget), density_brute_force(points, r))
 
     def test_single_point(self):
-        assert density_column(np.array([[1.0, 2.0, 3.0]]), 1.0).tolist() == [0.0]
+        assert density_column(np.array([[1.0, 2.0, 3.0]]), 1.0, self.budget).tolist() == [0.0]
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        coords=st.lists(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
-                                  st.floats(-2.0, 2.0)),
-                        min_size=3, max_size=600),
-        r=st.one_of(st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.01, 4.0)),
-    )
+    @given(coords=cloud_coords, r=cloud_radii)
     def test_property(self, coords, r):
-        points = np.array(coords[:len(coords) // 3 * 3]).reshape(-1, 3)
-        assert np.array_equal(density_column(points, r), density_brute_force(points, r))
+        self.check_property(coords, r)
+
+    def check_property(self, coords, r):
+        points = cloud(coords)
+        assert np.array_equal(density_column(points, r, self.budget), density_brute_force(points, r))
+
+
+class TestDensityBallQueryMatchesBruteForce(TestDensityMatchesBruteForce):
+    """The same inputs counted by the ball query, the path of scenes whose
+    x-slab bound exceeds DENSITY_PAIR_BUDGET."""
+
+    budget = BALL_QUERY
+
+    # hypothesis runs one @given method on one class only
+    @settings(max_examples=100, deadline=None)
+    @given(coords=cloud_coords, r=cloud_radii)
+    def test_property(self, coords, r):
+        self.check_property(coords, r)
+
+
+class TestDensityPaths:
+    """Which density path a scene takes, and that both count alike."""
+
+    def test_paths_agree_on_desk_scans(self):
+        for i in range(3):
+            points = generate_scan(DESK_SCAN_CFG, RngStream(9000, i)).points
+            assert np.array_equal(density_column(points, 1.0, SELF_JOIN),
+                                  density_column(points, 1.0, BALL_QUERY))
+
+    @settings(max_examples=100, deadline=None)
+    @given(coords=cloud_coords, r=cloud_radii)
+    def test_x_slab_bound_covers_pairs(self, coords, r):
+        points = cloud(coords)
+        assert model_mod._x_slab_pairs(points, r) >= density_brute_force(points, r).sum() // 2
+
+    def test_self_join_only_under_budget(self, monkeypatch):
+        listed = []
+
+        class Spy(cKDTree):
+            def query_pairs(self, *args, **kwargs):
+                listed.append(len(self.data))
+                return super().query_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "cKDTree", Spy)
+        gen = RngStream(3, 0).generator()
+        # 3000 points in a 1 m x-slab: ~4.5M slab pairs, far fewer within 1 m
+        slab = gen.uniform([0.0, -500.0, -500.0], [1.0, 500.0, 500.0], size=(3000, 3))
+        assert model_mod._x_slab_pairs(slab, 1.0) > model_mod.DENSITY_PAIR_BUDGET
+        over = density_column(slab, 1.0)
+        assert listed == []
+        under = density_column(slab[:1000], 1.0)
+        assert listed == [1000]
+        assert np.array_equal(over, density_brute_force(slab, 1.0))
+        assert np.array_equal(under, density_brute_force(slab[:1000], 1.0))
 
 
 @pytest.fixture

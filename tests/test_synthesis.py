@@ -15,6 +15,7 @@ from oodlab.core import (
     sample_uniform,
     to_spherical,
 )
+import oodlab.synthesis as synthesis_mod
 from oodlab.io import ScanConfig, generate_scan
 from oodlab.synthesis import (
     MergeReport,
@@ -355,6 +356,29 @@ class TestSynthesizeScene:
     def test_empty_pool_rejected(self, space3, small_scan):
         with pytest.raises(ValueError):
             synthesize_scene(small_scan, [], space3, SynthesisConfig(), RngStream(0, 0))
+
+    def test_kept_coordinates_match_fresh_conversion(self, monkeypatch):
+        # synthesize_scene converts only the merged rows after each merge;
+        # converting every scene point for every merge gives the same bits
+        pool, _ = _benchmark.make_asset_pools(count_per_asset=200)
+
+        def run():
+            return [synthesize_scene(generate_scan(_benchmark.SCAN_CFG, RngStream(4, i)), pool,
+                                     _benchmark.SPACE, _benchmark.SYNTH_CFG, RngStream(5, i))
+                    for i in range(3)]
+
+        kept = run()
+        monkeypatch.setattr(synthesis_mod, "_spherical", lambda scene: to_spherical(scene.points))
+        fresh = run()
+        assert sum(len(reports) for _, reports in kept) > 3
+        for (a, ra), (b, rb) in zip(kept, fresh):
+            assert a._spherical is None
+            assert a.points.tobytes() == b.points.tobytes()
+            assert np.array_equal(a.labels, b.labels)
+            for x, y in zip(ra, rb, strict=True):
+                assert np.array_equal(x.indices, y.indices)
+                assert x.old_radii.tobytes() == y.old_radii.tobytes()
+                assert x.new_radii.tobytes() == y.new_radii.tobytes()
 
 
 class TestResizeExisting:
